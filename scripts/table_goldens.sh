@@ -1,0 +1,74 @@
+#!/usr/bin/env bash
+# Absolute goldens for the paper tables: Tables 1, 4 and 5 at small
+# sizes plus a scheduled EMI campaign, each run on the inline, thread
+# pool (4 workers) and process pool backends and diffed against the
+# committed outputs in scripts/goldens/. Cross-backend conformance
+# only shows that backends agree; these pin what they agree on, so a
+# regression shared by every backend fails here. The scheduled run's
+# closing line also pins its grant count (the EMI step granularity).
+# Usage: scripts/table_goldens.sh [build-dir]
+set -eu
+
+REPO="$(cd "$(dirname "$0")/.." && pwd)"
+BUILD="${1:-$REPO/build}"
+GOLDENS="$REPO/scripts/goldens"
+
+for BIN in table1_classification table4_clsmith table5_clsmith_emi clfuzz; do
+  if [ ! -x "$BUILD/$BIN" ]; then
+    echo "table goldens: $BUILD/$BIN not built" >&2
+    exit 1
+  fi
+done
+
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+
+# check NAME GOLDEN EXPECTED-BACKEND-NAME COMMAND...
+check() {
+  local Name="$1" Golden="$2" Backend="$3"
+  shift 3
+  echo "== $Name"
+  "$@" > "$WORK/$Backend.out"
+  # The goldens were taken on the inline backend; the scheduler's
+  # closing line names the backend, the only byte allowed to differ.
+  sed "s/ on the inline backend / on the $Backend backend /" \
+    "$GOLDENS/$Golden" > "$WORK/$Backend.expected"
+  diff "$WORK/$Backend.expected" "$WORK/$Backend.out"
+}
+
+# every_case BACKEND-NAME TABLE-FLAGS SCHED-FLAGS (the flag lists split)
+every_case() {
+  local Backend="$1" TableFlags="$2" SchedFlags="$3"
+  check "table1 $Backend" table1_kernels2_seed7.txt "$Backend" \
+    "$BUILD/table1_classification" --kernels=2 --seed=7 $TableFlags
+  check "table4 $Backend" table4_kernels3_seed7.txt "$Backend" \
+    "$BUILD/table4_clsmith" --kernels=3 --seed=7 $TableFlags
+  check "table5 $Backend" table5_kernels2_seed7.txt "$Backend" \
+    "$BUILD/table5_clsmith_emi" --kernels=2 --seed=7 $TableFlags
+  check "sched emi $Backend" sched_emi_bases2.txt "$Backend" \
+    "$BUILD/clfuzz" sched $SchedFlags --campaigns='emi(name=e,bases=2)'
+}
+
+# The three backends run side by side, each logging to its own file;
+# a backend's log is printed whole once it is done.
+every_case inline "--backend=inline" "--backend=inline" \
+  > "$WORK/inline.log" 2>&1 &
+INLINE=$!
+every_case threads "--threads=4" "--backend=threads --exec-threads=4" \
+  > "$WORK/threads.log" 2>&1 &
+THREADS=$!
+every_case procs "--backend=procs --threads=2" \
+  "--backend=procs --exec-threads=2" > "$WORK/procs.log" 2>&1 &
+PROCS=$!
+
+FAILED=0
+for Job in "inline $INLINE" "threads $THREADS" "procs $PROCS"; do
+  set -- $Job
+  wait "$2" || FAILED=1
+  cat "$WORK/$1.log"
+done
+if [ "$FAILED" -ne 0 ]; then
+  echo "table goldens: a check failed" >&2
+  exit 1
+fi
+echo "table goldens: all checks passed"

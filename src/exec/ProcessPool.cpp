@@ -15,11 +15,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstring>
 #include <deque>
 #include <poll.h>
 #include <stdexcept>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -41,6 +43,39 @@ using wire::writeFullNoSigpipe;
 /// one outcome frame streamed back per cell).
 constexpr uint8_t JobFrameTag = 0;
 constexpr uint8_t ColumnFrameTag = 1;
+
+/// Closes descriptors Lo..Hi inclusive: one close_range(2) where the
+/// kernel has it, else one close() per descriptor below the process's
+/// descriptor limit.
+void closeFdRange(unsigned Lo, unsigned Hi) {
+  if (Lo > Hi)
+    return;
+#ifdef SYS_close_range
+  if (::syscall(SYS_close_range, Lo, Hi, 0u) == 0)
+    return;
+#endif
+  long Limit = ::sysconf(_SC_OPEN_MAX);
+  unsigned Top = Limit > 0 && Limit <= INT_MAX ? unsigned(Limit - 1) : 65535u;
+  for (unsigned Fd = Lo; Fd <= std::min(Hi, Top); ++Fd)
+    ::close(static_cast<int>(Fd));
+}
+
+/// Leaves a freshly forked worker holding only stdio and its own two
+/// pipe ends. fork() copies every descriptor of the whole process, and
+/// other threads may be between pipe() and fork() in pools of their
+/// own (each remote worker slot owns one): a worker that kept another
+/// pool's write end open would hide that pool's dead worker behind a
+/// pipe that never reaches EOF, and its poll() would wait forever.
+void closeInheritedFds(int In, int Out) {
+  unsigned Next = 3;
+  for (int Keep : {std::min(In, Out), std::max(In, Out)}) {
+    if (Keep < static_cast<int>(Next))
+      continue;
+    closeFdRange(Next, static_cast<unsigned>(Keep) - 1);
+    Next = static_cast<unsigned>(Keep) + 1;
+  }
+  closeFdRange(Next, ~0u);
+}
 
 /// Worker subprocess loop: read a framed, tagged descriptor (a single
 /// job or a whole column), execute it, write one framed outcome per
@@ -179,17 +214,11 @@ bool ProcessPoolBackend::spawnWorker(Worker &W) {
     return false;
   }
   if (Pid == 0) {
-    // Child: keep only this worker's two pipe ends (including ends
-    // inherited from siblings forked earlier — closing them is what
-    // lets a sibling see EOF when the parent goes away).
-    ::close(ToChild[1]);
-    ::close(FromChild[0]);
-    for (const Worker &Other : Workers) {
-      if (Other.ToChild >= 0)
-        ::close(Other.ToChild);
-      if (Other.FromChild >= 0)
-        ::close(Other.FromChild);
-    }
+    // Child: keep only this worker's two pipe ends. Dropping the ends
+    // inherited from siblings forked earlier is what lets a sibling see
+    // EOF when the parent goes away; dropping every other descriptor
+    // is what lets another pool see its own worker die.
+    closeInheritedFds(ToChild[0], FromChild[1]);
     workerMain(ToChild[0], FromChild[1]);
   }
   ::close(ToChild[0]);

@@ -13,7 +13,9 @@
 // strictly by submission index, so a campaign's tables are
 // bit-identical for every backend, worker count and shard size;
 // Settings.Exec with one inline/thread worker reproduces the
-// historical serial path exactly.
+// historical serial path exactly. Table 5 is EmiCampaignRun, a
+// resumable stepper that the scheduler's EMI task drives one grant at
+// a time; runEmiCampaign just loops over it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,14 +23,12 @@
 #include "support/Rng.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 using namespace clfuzz;
 
-namespace {
-
-/// The fixed cell order every driver expands a test into: configs in
-/// registry order, optimisations off then on.
-std::vector<ConfigKey> cellKeys(const std::vector<DeviceConfig> &Configs) {
+std::vector<ConfigKey>
+clfuzz::cellKeys(const std::vector<DeviceConfig> &Configs) {
   std::vector<ConfigKey> Keys;
   Keys.reserve(Configs.size() * 2);
   for (const DeviceConfig &C : Configs)
@@ -37,10 +37,13 @@ std::vector<ConfigKey> cellKeys(const std::vector<DeviceConfig> &Configs) {
   return Keys;
 }
 
-/// Appends one test's cell cube in cellKeys() order.
+std::string clfuzz::cellLabel(const ConfigKey &Key) {
+  return std::to_string(Key.ConfigId) + (Key.Opt ? "+" : "-");
+}
+
 std::function<void(size_t, const TestCase &, std::vector<ExecJob> &)>
-cubeExpander(const std::vector<DeviceConfig> &Configs,
-             const RunSettings &Run) {
+clfuzz::cubeExpander(const std::vector<DeviceConfig> &Configs,
+                     const RunSettings &Run) {
   return [&Configs, Run](size_t, const TestCase &T,
                          std::vector<ExecJob> &Jobs) {
     for (const DeviceConfig &C : Configs)
@@ -48,6 +51,8 @@ cubeExpander(const std::vector<DeviceConfig> &Configs,
         Jobs.push_back(ExecJob::onConfig(T, C, Opt, Run));
   };
 }
+
+namespace {
 
 /// Streams Table 1/4-style majority voting: per test, every cell's
 /// outcome is classified against the majority of the whole set ("among
@@ -68,24 +73,6 @@ public:
 
   std::vector<ConfigKey> Keys;
   std::map<ConfigKey, OutcomeCounts> Cells;
-};
-
-/// Streams one EMI base's variant cube: outcomes are regrouped per
-/// (configuration, opt) cell in variant order, then each cell is
-/// classified with the §7.4 EMI vote once the base's variants drain.
-/// State is outcomes-per-cell for one base — never the variants
-/// themselves, which stream through shard by shard.
-class EmiCellSink final : public ResultSink {
-public:
-  explicit EmiCellSink(size_t NumCells) : PerCell(NumCells) {}
-
-  void consumeTest(size_t, const TestCase &,
-                   const std::vector<RunOutcome> &Outcomes) override {
-    for (size_t Cell = 0; Cell != PerCell.size(); ++Cell)
-      PerCell[Cell].push_back(Outcomes[Cell]);
-  }
-
-  std::vector<std::vector<RunOutcome>> PerCell;
 };
 
 } // namespace
@@ -137,38 +124,21 @@ std::vector<ReliabilityRow>
 clfuzz::classifyConfigurations(const std::vector<DeviceConfig> &Configs,
                                const CampaignSettings &Settings,
                                double Threshold) {
-  static const GenMode AllModes[] = {
-      GenMode::Basic,         GenMode::Vector,
-      GenMode::Barrier,       GenMode::AtomicSection,
-      GenMode::AtomicReduction, GenMode::All};
+  // The initial set is unfiltered (§7.1).
+  CampaignSettings Unfiltered = Settings;
+  Unfiltered.PrefilterOnConfig1 = false;
+  std::vector<ModeTable> Tables = runDifferentialCampaign(
+      Configs,
+      {GenMode::Basic, GenMode::Vector, GenMode::Barrier,
+       GenMode::AtomicSection, GenMode::AtomicReduction, GenMode::All},
+      Unfiltered);
 
-  std::unique_ptr<ExecBackend> Backend = makeBackend(Settings.Exec);
-  const unsigned ShardSize = Settings.Exec.resolvedShardSize();
-
+  // Table 1 pools both opt levels and every mode per configuration;
+  // verdict counts are additive, so summing the cells matches voting
+  // directly into a per-config pool.
   std::map<int, OutcomeCounts> PerConfig;
-  unsigned TotalTests = 6 * Settings.KernelsPerMode;
-  unsigned Done = 0;
-  for (GenMode Mode : AllModes) {
-    // The initial set is unfiltered (§7.1).
-    GeneratorSource Source(Mode, Settings.BaseGen,
-                           Settings.SeedBase +
-                               static_cast<uint64_t>(Mode) * 1000003ULL,
-                           Settings.KernelsPerMode, /*Prefilter=*/false,
-                           /*Config1=*/nullptr, Settings.Run, *Backend);
-    MajorityVoteSink Sink(cellKeys(Configs));
-
-    PipelineStats Stats = runShardedCampaign(
-        Source, *Backend, ShardSize, cubeExpander(Configs, Settings.Run),
-        Sink, [&](size_t InMode) {
-          if (Settings.Progress)
-            Settings.Progress(Done + static_cast<unsigned>(InMode),
-                              TotalTests);
-        });
-
-    // Table 1 pools both opt levels per configuration; verdict counts
-    // are additive, so summing the two cells matches voting directly
-    // into a per-config pool.
-    for (const auto &[Key, Counts] : Sink.Cells) {
+  for (const ModeTable &Table : Tables)
+    for (const auto &[Key, Counts] : Table.Cells) {
       OutcomeCounts &Pool = PerConfig[Key.ConfigId];
       Pool.W += Counts.W;
       Pool.BF += Counts.BF;
@@ -176,8 +146,6 @@ clfuzz::classifyConfigurations(const std::vector<DeviceConfig> &Configs,
       Pool.TO += Counts.TO;
       Pool.Pass += Counts.Pass;
     }
-    Done += static_cast<unsigned>(Stats.Tests);
-  }
 
   std::vector<ReliabilityRow> Rows;
   for (const DeviceConfig &C : Configs) {
@@ -190,15 +158,34 @@ clfuzz::classifyConfigurations(const std::vector<DeviceConfig> &Configs,
   return Rows;
 }
 
-std::vector<EmiCampaignColumn>
-clfuzz::runEmiCampaign(const std::vector<DeviceConfig> &Configs,
-                       const EmiCampaignSettings &Settings,
-                       unsigned &UsableBases) {
-  const CampaignSettings &CS = Settings.Base;
-  std::unique_ptr<ExecBackend> Backend = makeBackend(CS.Exec);
-  const unsigned ShardSize = CS.Exec.resolvedShardSize();
+EmiCampaignRun::EmiCampaignRun(std::vector<DeviceConfig> Configs,
+                               const EmiCampaignSettings &Settings,
+                               ExecBackend &Backend, unsigned ShardSize)
+    : Configs(std::move(Configs)), Settings(Settings), Backend(Backend),
+      ShardSize(ShardSize) {
+  // Rng::range only asserts its bounds; an inverted range would wrap
+  // into a garbage block count and an effectively endless campaign.
+  if (Settings.MinEmiBlocks > Settings.MaxEmiBlocks)
+    throw std::invalid_argument(
+        "EMI dead-block range is empty: minimum " +
+        std::to_string(Settings.MinEmiBlocks) + " exceeds maximum " +
+        std::to_string(Settings.MaxEmiBlocks));
+  for (const ConfigKey &K : cellKeys(this->Configs)) {
+    Columns.emplace_back();
+    Columns.back().Key = K;
+  }
+}
 
-  // --- collect usable base programs (§7.4). Each candidate needs two
+bool EmiCampaignRun::step() {
+  if (Phase == PhaseKind::Collect)
+    collectWave();
+  else if (Phase == PhaseKind::Sweep)
+    sweepStep();
+  return Phase != PhaseKind::Done;
+}
+
+void EmiCampaignRun::collectWave() {
+  // Collect usable base programs (§7.4). Each candidate needs two
   // reference runs (normal and dead-array-inverted); candidates are
   // generated in-process, their reference runs go through the backend,
   // and acceptance scans in seed order — so the base set is invariant
@@ -207,24 +194,23 @@ clfuzz::runEmiCampaign(const std::vector<DeviceConfig> &Configs,
   // is baked into the candidate's GenOptions before any job is
   // submitted: the stream survives the subprocess boundary because the
   // serialized descriptor carries its result, not the generator.
-  std::vector<GenOptions> Bases;
-  uint64_t Seed = CS.SeedBase + 777;
-  unsigned ScanPos = 0;
+  const CampaignSettings &CS = Settings.Base;
   const unsigned MaxAttempts = Settings.NumBases * 8;
-  const Rng BlockCount(CS.SeedBase ^ 0xb10cULL);
-
-  while (Bases.size() < Settings.NumBases && ScanPos < MaxAttempts) {
+  if (Bases.size() < Settings.NumBases && ScanPos < MaxAttempts) {
     unsigned Needed =
         Settings.NumBases - static_cast<unsigned>(Bases.size());
     unsigned Wave = std::min(MaxAttempts - ScanPos,
-                             std::max(Needed, Backend->concurrency()));
+                             std::max(Needed, Backend.concurrency()));
 
+    const Rng BlockCount(CS.SeedBase ^ 0xb10cULL);
     std::vector<GenOptions> Candidates(Wave);
     std::vector<TestCase> Tests(Wave);
-    Backend->forEachIndex(Wave, [&](size_t I) {
+    Backend.forEachIndex(Wave, [&](size_t I) {
       GenOptions GO = CS.BaseGen;
       GO.Mode = GenMode::All;
-      GO.Seed = Seed + I;
+      // Only the last wave stops short of its end, so the scan
+      // position is also the seed offset.
+      GO.Seed = CS.SeedBase + 777 + ScanPos + I;
       Rng JobRng = BlockCount.forkForJob(ScanPos + I);
       GO.NumEmiBlocks = static_cast<unsigned>(JobRng.range(
           Settings.MinEmiBlocks, Settings.MaxEmiBlocks));
@@ -240,7 +226,8 @@ clfuzz::runEmiCampaign(const std::vector<DeviceConfig> &Configs,
       Jobs.push_back(ExecJob::onReference(T, /*Opt=*/true, CS.Run));
       Jobs.push_back(ExecJob::onReference(T, /*Opt=*/true, Inverted));
     }
-    std::vector<RunOutcome> Outs = Backend->run(Jobs);
+    std::vector<RunOutcome> Outs = Backend.run(Jobs);
+    ProbeJobs += Jobs.size();
 
     for (unsigned I = 0;
          I != Wave && Bases.size() < Settings.NumBases; ++I) {
@@ -257,42 +244,62 @@ clfuzz::runEmiCampaign(const std::vector<DeviceConfig> &Configs,
         continue;
       Bases.push_back(Candidates[I]);
     }
-    Seed += Wave;
   }
-  UsableBases = static_cast<unsigned>(Bases.size());
+  if (Bases.size() >= Settings.NumBases || ScanPos >= MaxAttempts)
+    Phase = Bases.empty() ? PhaseKind::Done : PhaseKind::Sweep;
+}
 
-  // --- per-base variant sweep: the 40 prune variants stream through
-  // the pipeline shard by shard, regrouped per (config, opt) cell and
-  // EMI-voted when the base drains.
-  std::map<ConfigKey, EmiCampaignColumn> Columns;
-  for (const ConfigKey &K : cellKeys(Configs))
-    Columns[K].Key = K;
+void EmiCampaignRun::consumeTest(size_t, const TestCase &,
+                                 const std::vector<RunOutcome> &Outcomes) {
+  for (size_t Cell = 0; Cell != PerCell.size(); ++Cell)
+    PerCell[Cell].push_back(Outcomes[Cell]);
+}
 
-  unsigned Done = 0;
-  for (const GenOptions &BaseGO : Bases) {
-    EmiVariantSource Source(BaseGO, *Backend);
-    const std::vector<ConfigKey> Keys = cellKeys(Configs);
-    EmiCellSink Sink(Keys.size());
-    runShardedCampaign(Source, *Backend, ShardSize,
-                       cubeExpander(Configs, CS.Run), Sink);
-
-    for (size_t Cell = 0; Cell != Keys.size(); ++Cell) {
-      EmiBaseVerdict Verdict = classifyEmiVariants(Sink.PerCell[Cell]);
-      EmiCampaignColumn &Col = Columns[Keys[Cell]];
-      Col.BaseFails += Verdict.BadBase;
-      Col.Wrong += Verdict.Wrong;
-      Col.InducedBF += Verdict.InducedBF && !Verdict.BadBase;
-      Col.InducedCrash += Verdict.InducedCrash && !Verdict.BadBase;
-      Col.InducedTimeout += Verdict.InducedTimeout && !Verdict.BadBase;
-      Col.Stable += Verdict.Stable;
-    }
-    ++Done;
-    if (CS.Progress)
-      CS.Progress(Done, static_cast<unsigned>(Bases.size()));
+void EmiCampaignRun::sweepStep() {
+  // Per-base variant sweep: the 40 prune variants stream through the
+  // pipeline shard by shard; only outcomes-per-cell stay resident.
+  if (!Sweep) {
+    Variants = std::make_unique<EmiVariantSource>(Bases[BaseIdx], Backend);
+    PerCell.assign(Columns.size(), {});
+    Sweep = std::make_unique<ShardedCampaignRun>(
+        *Variants, Backend, ShardSize,
+        cubeExpander(Configs, Settings.Base.Run),
+        static_cast<ResultSink &>(*this));
   }
+  if (Sweep->step())
+    return;
 
-  std::vector<EmiCampaignColumn> Result;
-  for (auto &[K, Col] : Columns)
-    Result.push_back(Col);
-  return Result;
+  for (size_t Cell = 0; Cell != Columns.size(); ++Cell) {
+    EmiBaseVerdict Verdict = classifyEmiVariants(PerCell[Cell]);
+    EmiCampaignColumn &Col = Columns[Cell];
+    Col.BaseFails += Verdict.BadBase;
+    Col.Wrong += Verdict.Wrong;
+    Col.InducedBF += Verdict.InducedBF && !Verdict.BadBase;
+    Col.InducedCrash += Verdict.InducedCrash && !Verdict.BadBase;
+    Col.InducedTimeout += Verdict.InducedTimeout && !Verdict.BadBase;
+    Col.Stable += Verdict.Stable;
+  }
+  SweptTests += Sweep->stats().Tests;
+  SweptJobs += Sweep->stats().Jobs;
+  Sweep.reset();
+  Variants.reset();
+  ++BaseIdx;
+  if (Settings.Base.Progress)
+    Settings.Base.Progress(static_cast<unsigned>(BaseIdx),
+                           static_cast<unsigned>(Bases.size()));
+  if (BaseIdx == Bases.size())
+    Phase = PhaseKind::Done;
+}
+
+std::vector<EmiCampaignColumn>
+clfuzz::runEmiCampaign(const std::vector<DeviceConfig> &Configs,
+                       const EmiCampaignSettings &Settings,
+                       unsigned &UsableBases) {
+  std::unique_ptr<ExecBackend> Backend = makeBackend(Settings.Base.Exec);
+  EmiCampaignRun Run(Configs, Settings, *Backend,
+                     Settings.Base.Exec.resolvedShardSize());
+  while (Run.step())
+    ;
+  UsableBases = Run.usableBases();
+  return Run.columns();
 }

@@ -30,6 +30,8 @@
 
 #include <functional>
 #include <map>
+#include <memory>
+#include <string>
 
 namespace clfuzz {
 
@@ -42,6 +44,20 @@ struct ConfigKey {
     return ConfigId != O.ConfigId ? ConfigId < O.ConfigId : Opt < O.Opt;
   }
 };
+
+/// The fixed cell cube every campaign expands a test into:
+/// configurations in \p Configs order, optimisations off then on.
+std::vector<ConfigKey> cellKeys(const std::vector<DeviceConfig> &Configs);
+
+/// A cell's report label: the configuration id, then "+" (optimised)
+/// or "-".
+std::string cellLabel(const ConfigKey &Key);
+
+/// Appends one test's cell cube in cellKeys() order. The expander
+/// refers to \p Configs, which must outlive it.
+std::function<void(size_t, const TestCase &, std::vector<ExecJob> &)>
+cubeExpander(const std::vector<DeviceConfig> &Configs,
+             const RunSettings &Run);
 
 /// Shared campaign tuning.
 struct CampaignSettings {
@@ -90,8 +106,9 @@ struct ReliabilityRow {
   bool AboveThreshold = false;
 };
 
-/// Runs the §7.1 initial classification: KernelsPerMode per mode over
-/// every configuration, threshold at 25% failures.
+/// Runs the §7.1 initial classification: the differential campaign
+/// over all six modes, unfiltered, KernelsPerMode per mode; both opt
+/// levels pool per configuration, threshold at 25% failures.
 std::vector<ReliabilityRow>
 classifyConfigurations(const std::vector<DeviceConfig> &Configs,
                        const CampaignSettings &Settings,
@@ -116,8 +133,72 @@ struct EmiCampaignColumn {
   unsigned Stable = 0;
 };
 
-/// Runs the §7.4 CLsmith+EMI campaign. Returns one column per
-/// (configuration, opt) plus the number of usable bases through
+/// Stepwise form of the §7.4 CLsmith+EMI campaign, shaped like
+/// ShardedCampaignRun: each step() runs one base-collection wave, then
+/// one variant shard of the current base. When a base's variants
+/// drain, every (configuration, opt) cell is EMI-voted into its
+/// column. runEmiCampaign() and the scheduler's EMI task are both
+/// loops over this class.
+class EmiCampaignRun : private ResultSink {
+public:
+  /// Throws std::invalid_argument when Settings.MinEmiBlocks exceeds
+  /// Settings.MaxEmiBlocks. \p Backend must outlive the run.
+  EmiCampaignRun(std::vector<DeviceConfig> Configs,
+                 const EmiCampaignSettings &Settings, ExecBackend &Backend,
+                 unsigned ShardSize);
+  EmiCampaignRun(const EmiCampaignRun &) = delete;
+  EmiCampaignRun &operator=(const EmiCampaignRun &) = delete;
+
+  /// Runs one collection wave or one variant shard; returns false once
+  /// the campaign has finished (later calls are no-ops). A base is
+  /// voted on the step after its last shard, as its source runs dry.
+  bool step();
+
+  bool collecting() const { return Phase == PhaseKind::Collect; }
+  bool done() const { return Phase == PhaseKind::Done; }
+  /// One column per cell, in cellKeys() order.
+  const std::vector<EmiCampaignColumn> &columns() const { return Columns; }
+  unsigned usableBases() const {
+    return static_cast<unsigned>(Bases.size());
+  }
+  size_t testsDone() const {
+    return SweptTests + (Sweep ? Sweep->stats().Tests : 0);
+  }
+  /// Reference probes plus variant cells run so far.
+  size_t jobsDone() const {
+    return ProbeJobs + SweptJobs + (Sweep ? Sweep->stats().Jobs : 0);
+  }
+
+private:
+  enum class PhaseKind { Collect, Sweep, Done };
+
+  void collectWave();
+  void sweepStep();
+  /// The run is its own variant sink: outcomes regroup per cell.
+  void consumeTest(size_t, const TestCase &,
+                   const std::vector<RunOutcome> &Outcomes) override;
+
+  std::vector<DeviceConfig> Configs;
+  EmiCampaignSettings Settings;
+  ExecBackend &Backend;
+  unsigned ShardSize;
+  std::vector<EmiCampaignColumn> Columns;
+  PhaseKind Phase = PhaseKind::Collect;
+
+  std::vector<GenOptions> Bases;
+  unsigned ScanPos = 0; ///< candidates scanned, in seed order
+  size_t ProbeJobs = 0;
+
+  size_t BaseIdx = 0; ///< the base being swept
+  std::unique_ptr<EmiVariantSource> Variants;
+  std::unique_ptr<ShardedCampaignRun> Sweep;
+  std::vector<std::vector<RunOutcome>> PerCell;
+  size_t SweptTests = 0, SweptJobs = 0;
+};
+
+/// Runs the §7.4 CLsmith+EMI campaign on a backend built from
+/// Settings.Base.Exec. Returns one column per (configuration, opt) in
+/// cellKeys() order plus the number of usable bases through
 /// \p UsableBases.
 std::vector<EmiCampaignColumn>
 runEmiCampaign(const std::vector<DeviceConfig> &Configs,

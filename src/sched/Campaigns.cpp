@@ -17,16 +17,24 @@
 #include "exec/Pipeline.h"
 #include "oracle/Campaign.h"
 #include "oracle/Oracle.h"
-#include "support/Rng.h"
 #include "support/StringUtil.h"
 #include "triage/Triage.h"
 
-#include <algorithm>
 #include <set>
 
 using namespace clfuzz;
 
 namespace {
+
+/// The paper's above-threshold configurations (Table 1), in id order:
+/// the cells hunt and EMI campaigns test.
+std::vector<DeviceConfig> aboveThresholdConfigs() {
+  std::vector<DeviceConfig> Zoo = buildConfigRegistry();
+  std::vector<DeviceConfig> Targets;
+  for (int Id : paperAboveThresholdIds())
+    Targets.push_back(configById(Zoo, Id));
+  return Targets;
+}
 
 //===----------------------------------------------------------------------===//
 // diff
@@ -45,13 +53,10 @@ public:
     TestCase T = TestCase::fromGenerated(generateKernel(Spec.Gen));
     std::vector<DeviceConfig> Zoo = buildConfigRegistry();
     std::vector<ExecJob> Jobs;
+    cubeExpander(Zoo, RunSettings())(0, T, Jobs);
     std::vector<std::string> Labels;
-    for (const DeviceConfig &C : Zoo) {
-      for (bool Opt : {false, true}) {
-        Jobs.push_back(ExecJob::onConfig(T, C, Opt, RunSettings()));
-        Labels.push_back(std::to_string(C.Id) + (Opt ? "+" : "-"));
-      }
-    }
+    for (const ConfigKey &K : cellKeys(Zoo))
+      Labels.push_back(cellLabel(K));
     // The whole zoo runs one kernel: a single column, parsed once per
     // worker instead of once per cell.
     std::vector<RunOutcome> Outs =
@@ -163,13 +168,10 @@ class HuntTask final : public CampaignTask {
 public:
   HuntTask(HuntSpec Spec, unsigned ShardSize, ExecBackend &Backend,
            ReductionQueue *Queue, std::FILE *Out)
-      : Spec(std::move(Spec)), Backend(Backend), Queue(Queue), Out(Out) {
-    std::vector<DeviceConfig> Zoo = buildConfigRegistry();
-    for (int Id : paperAboveThresholdIds())
-      Targets.push_back(configById(Zoo, Id));
-    for (const DeviceConfig &C : Targets)
-      for (bool Opt : {false, true})
-        Labels.push_back(std::to_string(C.Id) + (Opt ? "+" : "-"));
+      : Spec(std::move(Spec)), Backend(Backend), Queue(Queue), Out(Out),
+        Targets(aboveThresholdConfigs()) {
+    for (const ConfigKey &K : cellKeys(Targets))
+      Labels.push_back(cellLabel(K));
 
     Source = std::make_unique<GeneratorSource>(
         this->Spec.Mode, GenOptions(), this->Spec.Seed, this->Spec.Count,
@@ -188,12 +190,7 @@ public:
     }
 
     Run = std::make_unique<ShardedCampaignRun>(
-        *Source, Backend, ShardSize,
-        [this](size_t, const TestCase &T, std::vector<ExecJob> &Jobs) {
-          for (const DeviceConfig &C : Targets)
-            for (bool Opt : {false, true})
-              Jobs.push_back(ExecJob::onConfig(T, C, Opt, RunSettings()));
-        },
+        *Source, Backend, ShardSize, cubeExpander(Targets, RunSettings()),
         *Sink);
   }
 
@@ -365,224 +362,71 @@ private:
 // EMI
 //===----------------------------------------------------------------------===//
 
-/// The §7.4 campaign as a schedulable task: base collection runs one
-/// candidate wave per step, then each base's variant sweep streams
-/// shard by shard, and the epilogue prints one row per (config, opt)
-/// cell. The collection/sweep logic mirrors
-/// oracle/Campaign.cpp:runEmiCampaign over the above-threshold
-/// configurations.
+/// The §7.4 campaign as a schedulable task over the above-threshold
+/// configurations: one EmiCampaignRun step per scheduler step, a line
+/// when base collection ends, and one table row per (config, opt)
+/// cell once every base is voted.
 class EmiTask final : public CampaignTask {
 public:
-  EmiTask(EmiSpec Spec, unsigned ShardSize, ExecBackend &Backend,
+  EmiTask(const EmiSpec &Spec, unsigned ShardSize, ExecBackend &Backend,
           std::FILE *Out)
-      : Spec(Spec), ShardSize(ShardSize), Backend(Backend), Out(Out),
-        BlockCount(Spec.SeedBase ^ 0xb10cULL) {
-    std::vector<DeviceConfig> Zoo = buildConfigRegistry();
-    for (int Id : paperAboveThresholdIds())
-      Targets.push_back(configById(Zoo, Id));
-    for (const DeviceConfig &C : Targets)
-      for (bool Opt : {false, true})
-        Keys.push_back(ConfigKey{C.Id, Opt});
-    Columns.resize(Keys.size());
-    NextSeed = Spec.SeedBase + 777;
-    MaxAttempts = Spec.Bases * 8;
-  }
+      : Spec(Spec), Out(Out),
+        Run(aboveThresholdConfigs(), settingsFor(Spec), Backend,
+            ShardSize) {}
 
-  bool done() const override { return Phase == PhaseKind::Done; }
+  bool done() const override { return Run.done(); }
 
   void step() override {
-    switch (Phase) {
-    case PhaseKind::Collect:
-      collectWave();
+    if (Run.done())
       return;
-    case PhaseKind::Sweep:
-      sweepStep();
-      return;
-    case PhaseKind::Done:
-      return;
-    }
+    bool WasCollecting = Run.collecting();
+    Run.step();
+    if (WasCollecting && !Run.collecting())
+      std::fprintf(Out,
+                   "emi: %u usable bases (seed %llu, %u-%u dead blocks, "
+                   "%zu cells)\n",
+                   Run.usableBases(),
+                   static_cast<unsigned long long>(Spec.SeedBase),
+                   Spec.MinBlocks, Spec.MaxBlocks, Run.columns().size());
+    if (Run.done())
+      printTable();
   }
 
-  size_t distinctWitnesses() const override { return Fingerprints.size(); }
-  size_t testsDone() const override {
-    return SweptTests + (Run ? Run->stats().Tests : 0);
+  /// Every wrong (base, cell) pair is its own witness: the bases are
+  /// distinct kernels, so the wrong-cell total needs no deduplication.
+  size_t distinctWitnesses() const override {
+    size_t Wrong = 0;
+    for (const EmiCampaignColumn &C : Run.columns())
+      Wrong += C.Wrong;
+    return Wrong;
   }
-  size_t jobsDone() const override {
-    return ProbeJobs + SweptJobs + (Run ? Run->stats().Jobs : 0);
-  }
+  size_t testsDone() const override { return Run.testsDone(); }
+  size_t jobsDone() const override { return Run.jobsDone(); }
 
 private:
-  enum class PhaseKind { Collect, Sweep, Done };
-
-  /// One wave of base candidates: generate through the backend's
-  /// in-process parallelism, probe (normal, dead-array-inverted) on
-  /// the reference, accept in seed order. Identical scan to
-  /// runEmiCampaign, so the accepted base set is invariant across
-  /// backends and worker counts.
-  void collectWave() {
-    if (Bases.size() >= Spec.Bases || ScanPos >= MaxAttempts) {
-      finishCollect();
-      return;
-    }
-    unsigned Needed = Spec.Bases - static_cast<unsigned>(Bases.size());
-    unsigned Wave = std::min(MaxAttempts - ScanPos,
-                             std::max(Needed, Backend.concurrency()));
-
-    std::vector<GenOptions> Candidates(Wave);
-    std::vector<TestCase> Tests(Wave);
-    Backend.forEachIndex(Wave, [&](size_t I) {
-      GenOptions GO;
-      GO.Mode = GenMode::All;
-      GO.Seed = NextSeed + I;
-      Rng JobRng = BlockCount.forkForJob(ScanPos + I);
-      GO.NumEmiBlocks = static_cast<unsigned>(
-          JobRng.range(Spec.MinBlocks, Spec.MaxBlocks));
-      Candidates[I] = GO;
-      Tests[I] = TestCase::fromGenerated(generateKernel(GO));
-    });
-
-    RunSettings Inverted;
-    Inverted.InvertDead = true;
-    std::vector<ExecJob> Jobs;
-    Jobs.reserve(2 * Wave);
-    for (const TestCase &T : Tests) {
-      Jobs.push_back(ExecJob::onReference(T, /*Opt=*/true, RunSettings()));
-      Jobs.push_back(ExecJob::onReference(T, /*Opt=*/true, Inverted));
-    }
-    std::vector<RunOutcome> Outs = Backend.run(Jobs);
-    ProbeJobs += Jobs.size();
-
-    for (unsigned I = 0; I != Wave && Bases.size() < Spec.Bases; ++I) {
-      ++ScanPos;
-      // The base must compute a value on the reference, and inverting
-      // the dead array must change the result (§7.4 discards
-      // candidates whose EMI blocks sit in already-dead code).
-      const RunOutcome &Normal = Outs[2 * I];
-      const RunOutcome &Live = Outs[2 * I + 1];
-      if (!Normal.ok())
-        continue;
-      if (Live.ok() && Live.OutputHash == Normal.OutputHash)
-        continue;
-      Bases.push_back(Candidates[I]);
-    }
-    NextSeed += Wave;
-    if (Bases.size() >= Spec.Bases || ScanPos >= MaxAttempts)
-      finishCollect();
-  }
-
-  void finishCollect() {
-    std::fprintf(Out,
-                 "emi: %zu usable bases (seed %llu, %u-%u dead blocks, "
-                 "%zu cells)\n",
-                 Bases.size(),
-                 static_cast<unsigned long long>(Spec.SeedBase),
-                 Spec.MinBlocks, Spec.MaxBlocks, Keys.size());
-    Phase = Bases.empty() ? PhaseKind::Done : PhaseKind::Sweep;
-    if (Phase == PhaseKind::Done)
-      printTable();
-  }
-
-  void sweepStep() {
-    if (!Run)
-      beginBase();
-    if (Run->step())
-      return;
-    // This base's variants drained: vote each cell, then move on.
-    for (size_t Cell = 0; Cell != Keys.size(); ++Cell) {
-      EmiBaseVerdict V = classifyEmiVariants(CellSink->PerCell[Cell]);
-      EmiColumn &Col = Columns[Cell];
-      Col.BaseFails += V.BadBase;
-      Col.Wrong += V.Wrong;
-      Col.InducedBF += V.InducedBF && !V.BadBase;
-      Col.InducedCrash += V.InducedCrash && !V.BadBase;
-      Col.InducedTimeout += V.InducedTimeout && !V.BadBase;
-      Col.Stable += V.Stable;
-      // A wrong cell is a distinct witness per (base, cell): the
-      // base's first variant descriptor anchors the fingerprint.
-      if (V.Wrong)
-        Fingerprints.insert(BaseFingerprint ^
-                            (0x9e3779b97f4a7c15ULL * (Cell + 1)));
-    }
-    SweptTests += Run->stats().Tests;
-    SweptJobs += Run->stats().Jobs;
-    Run.reset();
-    CellSink.reset();
-    Source.reset();
-    if (++BaseIdx == Bases.size()) {
-      printTable();
-      Phase = PhaseKind::Done;
-    }
-  }
-
-  void beginBase() {
-    Source = std::make_unique<EmiVariantSource>(Bases[BaseIdx], Backend);
-    CellSink = std::make_unique<CellCollector>(Keys.size());
-    BaseFingerprint = 0;
-    Run = std::make_unique<ShardedCampaignRun>(
-        *Source, Backend, ShardSize,
-        [this](size_t, const TestCase &T, std::vector<ExecJob> &Jobs) {
-          size_t First = Jobs.size();
-          for (const DeviceConfig &C : Targets)
-            for (bool Opt : {false, true})
-              Jobs.push_back(ExecJob::onConfig(T, C, Opt, RunSettings()));
-          if (BaseFingerprint == 0 && Jobs.size() > First)
-            BaseFingerprint = hashDescriptor(Jobs[First]);
-        },
-        *CellSink);
+  static EmiCampaignSettings settingsFor(const EmiSpec &Spec) {
+    EmiCampaignSettings S;
+    S.NumBases = Spec.Bases;
+    S.MinEmiBlocks = Spec.MinBlocks;
+    S.MaxEmiBlocks = Spec.MaxBlocks;
+    S.Base.SeedBase = Spec.SeedBase;
+    return S;
   }
 
   void printTable() {
     std::fprintf(Out,
                  "cell  base-fail wrong induced-bf induced-crash "
                  "induced-timeout stable\n");
-    for (size_t I = 0; I != Keys.size(); ++I) {
-      std::string Label =
-          std::to_string(Keys[I].ConfigId) + (Keys[I].Opt ? "+" : "-");
-      const EmiColumn &C = Columns[I];
+    for (const EmiCampaignColumn &C : Run.columns())
       std::fprintf(Out, "%-5s %9u %5u %10u %13u %15u %6u\n",
-                   Label.c_str(), C.BaseFails, C.Wrong, C.InducedBF,
-                   C.InducedCrash, C.InducedTimeout, C.Stable);
-    }
+                   cellLabel(C.Key).c_str(), C.BaseFails, C.Wrong,
+                   C.InducedBF, C.InducedCrash, C.InducedTimeout,
+                   C.Stable);
   }
 
-  /// Per-cell outcome regroup for one base (mirrors Campaign.cpp's
-  /// EmiCellSink): bounded by outcomes-per-cell, variants stream.
-  class CellCollector final : public ResultSink {
-  public:
-    explicit CellCollector(size_t NumCells) : PerCell(NumCells) {}
-    void consumeTest(size_t, const TestCase &,
-                     const std::vector<RunOutcome> &Outcomes) override {
-      for (size_t Cell = 0; Cell != PerCell.size(); ++Cell)
-        PerCell[Cell].push_back(Outcomes[Cell]);
-    }
-    std::vector<std::vector<RunOutcome>> PerCell;
-  };
-
-  struct EmiColumn {
-    unsigned BaseFails = 0, Wrong = 0, InducedBF = 0, InducedCrash = 0,
-             InducedTimeout = 0, Stable = 0;
-  };
-
   EmiSpec Spec;
-  unsigned ShardSize;
-  ExecBackend &Backend;
   std::FILE *Out;
-  Rng BlockCount;
-  std::vector<DeviceConfig> Targets;
-  std::vector<ConfigKey> Keys;
-  std::vector<EmiColumn> Columns;
-  std::vector<GenOptions> Bases;
-  uint64_t NextSeed = 0;
-  unsigned ScanPos = 0;
-  unsigned MaxAttempts = 0;
-  size_t BaseIdx = 0;
-  uint64_t BaseFingerprint = 0;
-  std::unique_ptr<EmiVariantSource> Source;
-  std::unique_ptr<CellCollector> CellSink;
-  std::unique_ptr<ShardedCampaignRun> Run;
-  std::set<uint64_t> Fingerprints;
-  size_t SweptTests = 0, SweptJobs = 0, ProbeJobs = 0;
-  PhaseKind Phase = PhaseKind::Collect;
+  EmiCampaignRun Run;
 };
 
 //===----------------------------------------------------------------------===//

@@ -17,8 +17,9 @@
 ///
 /// Every task writes its report to a caller-supplied FILE* (stdout
 /// for the solo commands, a per-campaign stream under `clfuzz sched`)
-/// and reports distinct-witness fingerprints (hashDescriptor of the
-/// witness cell's job) for the YieldWeighted policy.
+/// and reports its distinct witnesses for the YieldWeighted policy
+/// (hashDescriptor of the witness cell's job; EMI's wrong (base, cell)
+/// pairs are distinct by construction).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -164,7 +165,8 @@ HuntCampaign makeHuntCampaign(const HuntSpec &Spec, unsigned ShardSize,
                               ExecBackend &Backend, std::FILE *Out);
 
 /// Builds an EMI campaign over \p Backend (above-threshold
-/// configurations), sharding variants by \p ShardSize.
+/// configurations), sharding variants by \p ShardSize. Throws
+/// std::invalid_argument when Spec.MinBlocks exceeds Spec.MaxBlocks.
 std::unique_ptr<CampaignTask> makeEmiTask(const EmiSpec &Spec,
                                           unsigned ShardSize,
                                           ExecBackend &Backend,

@@ -26,6 +26,11 @@
 
 #include <thread>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <poll.h>
+#include <unistd.h>
+#endif
+
 using namespace clfuzz;
 
 namespace {
@@ -361,6 +366,35 @@ TEST(BackendConformanceTest, ProcsKillsARunawayJob) {
   EXPECT_EQ(Got[1].OutputHash, Clean.OutputHash);
   EXPECT_EQ(Got[2].OutputHash, Clean.OutputHash);
 }
+
+#if defined(__unix__) || defined(__APPLE__)
+TEST(BackendConformanceTest, ProcsWorkersHoldNoInheritedDescriptors) {
+  // The pipe stands in for another pool's, caught between pipe() and
+  // fork() on another thread when this pool forks its workers (remote
+  // worker slots each own a pool). Once our write end closes, the read
+  // end must see EOF: a worker still holding the write end would hide
+  // the other pool's dead worker forever.
+  int Pipe[2];
+  ASSERT_EQ(::pipe(Pipe), 0);
+
+  std::vector<DeviceConfig> Zoo = smallZoo();
+  GenOptions GO;
+  GO.Seed = 4242;
+  TestCase T = TestCase::fromGenerated(generateKernel(GO));
+  std::unique_ptr<ExecBackend> Backend =
+      makeBackend(ExecOptions::withBackend(BackendKind::Procs, 2));
+  std::vector<RunOutcome> Got = Backend->run(
+      {ExecJob::onConfig(T, Zoo[0], true, RunSettings())});
+  ASSERT_EQ(Got.size(), 1u);
+
+  ::close(Pipe[1]);
+  pollfd P = {Pipe[0], POLLIN, 0};
+  ASSERT_EQ(::poll(&P, 1, 2000), 1) << "a pool worker holds the write end";
+  char Byte;
+  EXPECT_EQ(::read(Pipe[0], &Byte, 1), 0);
+  ::close(Pipe[0]);
+}
+#endif
 
 TEST(BackendConformanceTest, CrashingCellBecomesACampaignVerdict) {
   // End to end: a deliberately crashing cell inside a differential

@@ -28,6 +28,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 
 using namespace clfuzz;
 
@@ -546,6 +547,24 @@ TEST(SchedulerConformanceTest, StatsBreakdownSumsToGlobalCounters) {
   EXPECT_EQ(SumSteps, Sched.allocationTrace().size());
   readAll(FD);
   readAll(FH);
+}
+
+// Rng::range only asserts its bounds (compiled out of release builds),
+// so an inverted dead-block range would wrap into a garbage block
+// count and a campaign that never ends: it must be rejected when the
+// task is built, before anything runs. A one-value range stays valid.
+TEST(SchedulerConformanceTest, EmiRejectsInvertedBlockBounds) {
+  std::unique_ptr<ExecBackend> B =
+      makeBackend(ExecOptions::withBackend(BackendKind::Inline));
+  EmiSpec Inverted = emiSpec();
+  Inverted.MinBlocks = 3;
+  Inverted.MaxBlocks = 2;
+  std::FILE *F = std::tmpfile();
+  EXPECT_THROW(makeEmiTask(Inverted, 1, *B, F), std::invalid_argument);
+  EmiSpec Single = emiSpec();
+  Single.MinBlocks = Single.MaxBlocks = 2;
+  EXPECT_NO_THROW(makeEmiTask(Single, 1, *B, F));
+  std::fclose(F);
 }
 
 //===----------------------------------------------------------------------===//
