@@ -33,7 +33,7 @@
 #ifndef CLFUZZ_BENCH_BENCHUTIL_H
 #define CLFUZZ_BENCH_BENCHUTIL_H
 
-#include "exec/ExecutionEngine.h"
+#include "exec/ExecBackend.h"
 #include "exec/OutcomeCache.h"
 #include "exec/RemoteBackend.h"
 #include "exec/ResultSink.h"

@@ -13,6 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "device/DeviceConfig.h"
 #include "device/Driver.h"
 #include "exec/JobSerialize.h"
 #include "gen/Generator.h"
@@ -21,7 +22,6 @@
 #include "minicl/Printer.h"
 #include "minicl/Sema.h"
 #include "opt/Pass.h"
-#include "oracle/Campaign.h"
 #include "support/Arena.h"
 #include "vm/Codegen.h"
 #include "vm/VM.h"
@@ -304,42 +304,5 @@ static void BM_EndToEndDriver(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_EndToEndDriver);
-
-/// The CLsmith differential-testing workload (Table 4 inner loop)
-/// through the ExecutionEngine at 1/2/4 workers. Compare the per-arg
-/// wall times for the serial-vs-parallel campaign speedup; items/sec
-/// counts campaign cells. UseRealTime makes the thread-count sweep
-/// comparable (CPU time sums over workers).
-static void BM_DifferentialCampaign(benchmark::State &State) {
-  std::vector<DeviceConfig> Registry = buildConfigRegistry();
-  std::vector<DeviceConfig> Above;
-  for (int Id : paperAboveThresholdIds())
-    Above.push_back(configById(Registry, Id));
-
-  CampaignSettings S;
-  S.KernelsPerMode = 6;
-  S.Exec.Threads = static_cast<unsigned>(State.range(0));
-  S.BaseGen.MinThreads = 48;
-  S.BaseGen.MaxThreads = 256;
-  std::vector<GenMode> Modes = {GenMode::Barrier};
-
-  uint64_t Cells = 0;
-  for (auto _ : State) {
-    std::vector<ModeTable> Tables =
-        runDifferentialCampaign(Above, Modes, S);
-    for (const ModeTable &T : Tables)
-      Cells += uint64_t(T.NumTests) * Above.size() * 2;
-    benchmark::DoNotOptimize(Tables.data());
-  }
-  State.SetItemsProcessed(static_cast<int64_t>(Cells));
-  State.SetLabel("items = campaign cells; threads = " +
-                 std::to_string(State.range(0)));
-}
-BENCHMARK(BM_DifferentialCampaign)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 BENCHMARK_MAIN();

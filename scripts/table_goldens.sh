@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Absolute goldens for the paper tables: Tables 1, 4 and 5 at small
-# sizes plus a scheduled EMI campaign, each run on the inline, thread
-# pool (4 workers) and process pool backends and diffed against the
-# committed outputs in scripts/goldens/. Cross-backend conformance
+# sizes, a scheduled EMI campaign and a `clfuzz reduce` run (report
+# plus JSONL trace), each run on the inline, thread pool (4 workers)
+# and process pool backends and diffed against the committed outputs
+# in scripts/goldens/. Cross-backend conformance
 # only shows that backends agree; these pin what they agree on, so a
 # regression shared by every backend fails here. The scheduled run's
 # closing line also pins its grant count (the EMI step granularity).
@@ -36,9 +37,25 @@ check() {
   diff "$WORK/$Backend.expected" "$WORK/$Backend.out"
 }
 
-# every_case BACKEND-NAME TABLE-FLAGS SCHED-FLAGS (the flag lists split)
+# check_reduce BACKEND-NAME REDUCE-FLAGS...: the reducer's speculation
+# width follows the backend's concurrency, so this pins its candidate
+# batches on each backend.
+check_reduce() {
+  local Backend="$1"
+  shift
+  echo "== reduce $Backend"
+  "$BUILD/clfuzz" reduce --mode=ALL --seed=39 --config=14 --opt \
+    --expect=wrong --trace=- "$@" \
+    > "$WORK/$Backend.reduce.out" 2> "$WORK/$Backend.reduce.trace"
+  diff "$GOLDENS/reduce_all_seed39_config14.txt" "$WORK/$Backend.reduce.out"
+  diff "$GOLDENS/reduce_all_seed39_config14.trace.jsonl" \
+    "$WORK/$Backend.reduce.trace"
+}
+
+# every_case BACKEND-NAME TABLE-FLAGS SCHED-FLAGS REDUCE-FLAGS (the flag
+# lists split)
 every_case() {
-  local Backend="$1" TableFlags="$2" SchedFlags="$3"
+  local Backend="$1" TableFlags="$2" SchedFlags="$3" ReduceFlags="$4"
   check "table1 $Backend" table1_kernels2_seed7.txt "$Backend" \
     "$BUILD/table1_classification" --kernels=2 --seed=7 $TableFlags
   check "table4 $Backend" table4_kernels3_seed7.txt "$Backend" \
@@ -47,18 +64,20 @@ every_case() {
     "$BUILD/table5_clsmith_emi" --kernels=2 --seed=7 $TableFlags
   check "sched emi $Backend" sched_emi_bases2.txt "$Backend" \
     "$BUILD/clfuzz" sched $SchedFlags --campaigns='emi(name=e,bases=2)'
+  check_reduce "$Backend" $ReduceFlags
 }
 
 # The three backends run side by side, each logging to its own file;
 # a backend's log is printed whole once it is done.
 every_case inline "--backend=inline" "--backend=inline" \
-  > "$WORK/inline.log" 2>&1 &
+  "--reduce-backend=inline" > "$WORK/inline.log" 2>&1 &
 INLINE=$!
 every_case threads "--threads=4" "--backend=threads --exec-threads=4" \
-  > "$WORK/threads.log" 2>&1 &
+  "--reduce-backend=threads --reduce-jobs=4" > "$WORK/threads.log" 2>&1 &
 THREADS=$!
 every_case procs "--backend=procs --threads=2" \
-  "--backend=procs --exec-threads=2" > "$WORK/procs.log" 2>&1 &
+  "--backend=procs --exec-threads=2" \
+  "--reduce-backend=procs --reduce-jobs=2" > "$WORK/procs.log" 2>&1 &
 PROCS=$!
 
 FAILED=0

@@ -12,9 +12,104 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
+#include <cstdlib>
 #include <iterator>
 
 using namespace clfuzz;
+
+const char *clfuzz::backendKindName(BackendKind K) {
+  switch (K) {
+  case BackendKind::Inline:
+    return "inline";
+  case BackendKind::Threads:
+    return "threads";
+  case BackendKind::Procs:
+    return "procs";
+  case BackendKind::Remote:
+    return "remote";
+  }
+  return "?";
+}
+
+bool clfuzz::parseBackendKind(const std::string &Name, BackendKind &Out) {
+  if (Name == "inline")
+    Out = BackendKind::Inline;
+  else if (Name == "threads")
+    Out = BackendKind::Threads;
+  else if (Name == "procs")
+    Out = BackendKind::Procs;
+  else if (Name == "remote")
+    Out = BackendKind::Remote;
+  else
+    return false;
+  return true;
+}
+
+unsigned ExecOptions::resolvedThreads() const {
+  if (Threads != 0)
+    return std::min(Threads, MaxThreads);
+  unsigned HW = std::thread::hardware_concurrency();
+  return HW == 0 ? 1 : std::min(HW, MaxThreads);
+}
+
+RunOutcome clfuzz::runExecJob(const ExecJob &Job) {
+  // Fault-injection hooks for the process-pool isolation tests: a hard
+  // abort models a VM bug taking the worker process down; a spin
+  // models a runaway execution the step budget cannot catch. Neither
+  // is reachable from campaign code paths.
+  if (Job.Settings.DebugHardAbort)
+    std::abort();
+  if (Job.Settings.DebugSpinMs)
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(Job.Settings.DebugSpinMs));
+  if (Job.Config)
+    return runTestOnConfig(*Job.Test, *Job.Config, Job.Opt, Job.Settings);
+  return runTestOnReference(*Job.Test, Job.Opt, Job.Settings);
+}
+
+std::vector<ExecColumn>
+clfuzz::groupIntoColumns(const std::vector<ExecJob> &Jobs) {
+  std::vector<ExecColumn> Cols;
+  for (const ExecJob &J : Jobs) {
+    if (Cols.empty() || Cols.back().Jobs.front().Test != J.Test)
+      Cols.emplace_back();
+    Cols.back().Jobs.push_back(J);
+  }
+  return Cols;
+}
+
+std::vector<RunOutcome> clfuzz::runExecColumn(const ExecColumn &Column) {
+  std::vector<RunOutcome> Out;
+  Out.reserve(Column.Jobs.size());
+  // Built on the first admissible cell; with cloning disabled, columns
+  // whose every cell runs the optimiser (or an AST-mutating bug pass)
+  // never pay the parse.
+  std::unique_ptr<TestFrontEnd> FE;
+  for (const ExecJob &J : Column.Jobs) {
+    assert(J.Test == Column.Jobs.front().Test &&
+           "column cells must share one test");
+    // The fault-injection hooks bypass the driver entirely; route them
+    // through runExecJob so the process-pool isolation tests see the
+    // same behaviour on the column path.
+    if (J.Settings.DebugHardAbort || J.Settings.DebugSpinMs) {
+      Out.push_back(runExecJob(J));
+      continue;
+    }
+    const TestFrontEnd *Shared = nullptr;
+    if (frontEndUseFor(J.Config, J.Opt) != FrontEndUse::Reparse) {
+      if (!FE)
+        FE = std::make_unique<TestFrontEnd>(*J.Test);
+      Shared = FE.get();
+    }
+    Out.push_back(J.Config
+                      ? runTestOnConfig(*J.Test, *J.Config, J.Opt,
+                                        J.Settings, Shared)
+                      : runTestOnReference(*J.Test, J.Opt, J.Settings,
+                                           Shared));
+  }
+  return Out;
+}
 
 ExecBackend::~ExecBackend() = default;
 
@@ -119,13 +214,126 @@ InlineBackend::runColumns(const std::vector<ExecColumn> &Columns) {
 }
 
 ThreadPoolBackend::ThreadPoolBackend(const ExecOptions &Opts)
-    : Engine(Opts) {}
+    : NumThreads(Opts.resolvedThreads()) {
+  try {
+    for (unsigned I = 1; I < NumThreads; ++I)
+      Workers.emplace_back([this] { workerLoop(); });
+  } catch (...) {
+    // A failed spawn must not leave the started workers unjoined.
+    stopWorkers();
+    throw;
+  }
+}
+
+ThreadPoolBackend::~ThreadPoolBackend() { stopWorkers(); }
+
+void ThreadPoolBackend::stopWorkers() {
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    ShuttingDown = true;
+  }
+  CV.notify_all();
+  for (std::thread &W : Workers)
+    W.join();
+}
+
+void ThreadPoolBackend::workerLoop() {
+  uint64_t SeenBatch = 0;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> Lock(M);
+      CV.wait(Lock, [&] { return ShuttingDown || BatchId != SeenBatch; });
+      if (ShuttingDown)
+        return;
+      SeenBatch = BatchId;
+    }
+    claimUntilDrained(SeenBatch);
+  }
+}
+
+void ThreadPoolBackend::claimUntilDrained(uint64_t Batch) {
+  for (;;) {
+    // Indices are claimed under the lock; the bodies run outside it.
+    const std::function<void(size_t)> *Work;
+    size_t Begin, End;
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      // The batch-id check keeps a straggler worker from claiming
+      // indices of a batch submitted after it last woke.
+      if (BatchId != Batch || NextIndex >= EndIndex)
+        return;
+      Work = Body;
+      Begin = NextIndex;
+      End = std::min<size_t>(Begin + BatchClaimChunk, EndIndex);
+      NextIndex = End;
+    }
+    std::exception_ptr Err;
+    for (size_t I = Begin; I != End; ++I) {
+      try {
+        (*Work)(I);
+      } catch (...) {
+        if (!Err)
+          Err = std::current_exception();
+      }
+    }
+    {
+      std::lock_guard<std::mutex> Lock(M);
+      if (Err && !FirstError)
+        FirstError = Err;
+      DoneCount += End - Begin;
+      if (DoneCount == EndIndex)
+        DoneCV.notify_all();
+    }
+  }
+}
+
+void ThreadPoolBackend::forEachIndex(size_t N,
+                                     const std::function<void(size_t)> &BodyFn,
+                                     unsigned ClaimChunk) {
+  if (Workers.empty() || N <= 1) {
+    ExecBackend::forEachIndex(N, BodyFn);
+    return;
+  }
+  uint64_t Batch;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    Body = &BodyFn;
+    NextIndex = 0;
+    EndIndex = N;
+    DoneCount = 0;
+    BatchClaimChunk = std::max(1u, ClaimChunk);
+    FirstError = nullptr;
+    Batch = ++BatchId;
+  }
+  CV.notify_all();
+  // The submitting thread works the queue too, then waits for the
+  // stragglers held by pool workers.
+  claimUntilDrained(Batch);
+  std::exception_ptr Pending;
+  {
+    std::unique_lock<std::mutex> Lock(M);
+    DoneCV.wait(Lock, [&] { return DoneCount == EndIndex; });
+    Body = nullptr;
+    Pending = FirstError;
+    FirstError = nullptr;
+  }
+  if (Pending)
+    std::rethrow_exception(Pending);
+}
+
+void ThreadPoolBackend::forEachIndex(size_t N,
+                                     const std::function<void(size_t)> &Body) {
+  forEachIndex(N, Body, CheapClaimChunk);
+}
 
 std::vector<RunOutcome>
 ThreadPoolBackend::run(const std::vector<ExecJob> &Jobs) {
   // Campaign cells can be timeout-heavy (a cell may burn its whole
   // step budget), so the batch claims one index per lock acquisition.
-  return Engine.runBatch(Jobs);
+  std::vector<RunOutcome> Results(Jobs.size());
+  forEachIndex(
+      Jobs.size(), [&](size_t I) { Results[I] = runExecJob(Jobs[I]); }, 1);
+  return Results;
 }
 
 std::vector<RunOutcome>
@@ -133,23 +341,17 @@ ThreadPoolBackend::runColumns(const std::vector<ExecColumn> &Columns) {
   // One pool index per column so the shared front end stays on one
   // worker; per-column results land in their own slot and flatten in
   // submission order, keeping output keyed by index as always. Columns
-  // contain timeout-heavy cells, so claim one at a time (the default).
+  // contain timeout-heavy cells, so claim one at a time.
   std::vector<std::vector<RunOutcome>> Per(Columns.size());
-  Engine.forEachIndex(Columns.size(),
-                      [&](size_t I) { Per[I] = runExecColumn(Columns[I]); });
+  forEachIndex(
+      Columns.size(),
+      [&](size_t I) { Per[I] = runExecColumn(Columns[I]); }, 1);
   std::vector<RunOutcome> Results;
   for (std::vector<RunOutcome> &ColResults : Per)
     Results.insert(Results.end(),
                    std::make_move_iterator(ColResults.begin()),
                    std::make_move_iterator(ColResults.end()));
   return Results;
-}
-
-void ThreadPoolBackend::forEachIndex(
-    size_t N, const std::function<void(size_t)> &Body) {
-  // Generation-side work is cheap and uniform; claim chunks to cut
-  // queue lock traffic.
-  Engine.forEachIndex(N, Body, ExecutionEngine::CheapClaimChunk);
 }
 
 std::unique_ptr<ExecBackend> clfuzz::makeBackend(const ExecOptions &Opts) {

@@ -29,9 +29,9 @@
 ///
 ///  * InlineBackend — serial, on the calling thread; the reference
 ///    semantics everything else must match.
-///  * ThreadPoolBackend — wraps the ExecutionEngine work-queue pool.
-///    Fast, but a job that crashes the process takes the campaign
-///    with it.
+///  * ThreadPoolBackend — persistent worker threads claiming indices
+///    from a shared queue. Fast, but a job that crashes the process
+///    takes the campaign with it.
 ///  * ProcessPoolBackend (exec/ProcessPool.h) — forked worker
 ///    subprocesses fed serialized job descriptors; a VM crash or a
 ///    runaway timeout kills one worker, is recorded as that job's
@@ -54,11 +54,163 @@
 #ifndef CLFUZZ_EXEC_EXECBACKEND_H
 #define CLFUZZ_EXEC_EXECBACKEND_H
 
-#include "exec/ExecutionEngine.h"
+#include "device/Driver.h"
 
+#include <condition_variable>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
 
 namespace clfuzz {
+
+/// Which ExecBackend implementation a campaign schedules its cells on.
+/// Every backend produces bit-identical tables for a fixed seed; they
+/// differ only in wall-clock behaviour and fault isolation.
+enum class BackendKind : uint8_t {
+  Inline,  ///< serial, on the calling thread
+  Threads, ///< ThreadPoolBackend (Threads == 1 is serial)
+  Procs,   ///< fork/exec-style process pool; crashes are isolated
+  Remote,  ///< socket-fed `clfuzz worker` fleet (exec/RemoteBackend.h)
+};
+
+/// Printable name ("inline" / "threads" / "procs" / "remote").
+const char *backendKindName(BackendKind K);
+/// Parses a --backend= value; returns false on an unknown name.
+bool parseBackendKind(const std::string &Name, BackendKind &Out);
+
+/// Backend tuning, threaded through campaign / reducer settings.
+struct ExecOptions {
+  /// Worker count: 1 = serial inline execution, 0 = one worker per
+  /// hardware thread, N = exactly N workers (clamped to MaxThreads —
+  /// campaign results are thread-count-invariant, so clamping never
+  /// changes output, only guards against absurd worker counts).
+  unsigned Threads = 1;
+
+  /// Which ExecBackend implementation makeBackend() builds. Threads is
+  /// the default: with Threads == 1 it degrades to the serial inline
+  /// path, so the historical ExecOptions{N} behaviour is unchanged.
+  BackendKind Backend = BackendKind::Threads;
+
+  /// Upper bound on the number of TestCases a campaign driver holds
+  /// alive at once per mode: sources are pulled in shards of at most
+  /// this many tests, and a shard is dropped before the next one is
+  /// generated. Memory is O(ShardSize), not O(KernelsPerMode).
+  unsigned ShardSize = 64;
+
+  /// Wall-clock deadline per job in milliseconds, enforced only by the
+  /// process-pool backend (the thread pool cannot safely kill a
+  /// runaway job). 0 disables the deadline. The VM's step budget
+  /// already bounds simulated runs, so this only matters for genuinely
+  /// runaway executions.
+  unsigned ProcTimeoutMs = 0;
+
+  /// Remote backend only: the `clfuzz worker` endpoints ("host:port"
+  /// each) the coordinator multiplexes jobs over. Required (and only
+  /// meaningful) with Backend == BackendKind::Remote.
+  std::vector<std::string> RemoteWorkers;
+
+  /// Remote backend only: coordinator-side wall-clock deadline per
+  /// dispatched job in milliseconds. A worker that blows it is
+  /// disconnected and the job requeued once (second expiry = Timeout
+  /// outcome). 0 disables. Distinct from ProcTimeoutMs, which the
+  /// *worker's* local process pool enforces per job.
+  unsigned RemoteTimeoutMs = 0;
+
+  /// Remote backend only: idle interval (ms) after which a busy,
+  /// silent worker is probed with a heartbeat frame; a probe
+  /// unanswered for another interval counts as worker death. 0
+  /// disables liveness probing (a wedged worker then hangs the
+  /// campaign unless RemoteTimeoutMs is set).
+  unsigned RemoteHeartbeatMs = 2000;
+
+  /// Content-addressed outcome cache shared by whatever backends are
+  /// built from these options (exec/OutcomeCache.h); null = no
+  /// caching. makeBackend() wraps the concrete backend so identical
+  /// job descriptors are served from cache (and coalesced within a
+  /// batch) instead of re-executing. Cache hits are observationally
+  /// invisible: campaign output is byte-identical with or without a
+  /// cache — only wall-clock time and the --stats counters change.
+  std::shared_ptr<class OutcomeCache> Cache;
+
+  /// Remote backend only: the rendezvous registry rendering the fleet
+  /// elastic (exec/FleetRegistry.h); null = static fleet. When set,
+  /// the remote backend adopts workers the registry has admitted at
+  /// every dispatch boundary, so the fleet grows mid-campaign; with a
+  /// registry present RemoteWorkers may be empty (the fleet is then
+  /// built entirely from joins). Share one registry with exactly one
+  /// backend at a time — an adopted socket has a single owner.
+  std::shared_ptr<class FleetRegistry> Fleet;
+
+  /// Upper bound resolvedThreads() clamps to.
+  static constexpr unsigned MaxThreads = 256;
+
+  /// Threads with 0 resolved to the hardware concurrency.
+  unsigned resolvedThreads() const;
+  /// ShardSize with 0 clamped to 1.
+  unsigned resolvedShardSize() const {
+    return ShardSize == 0 ? 1 : ShardSize;
+  }
+
+  static ExecOptions serial() { return ExecOptions{1}; }
+  static ExecOptions withThreads(unsigned N) { return ExecOptions{N}; }
+  static ExecOptions withBackend(BackendKind K, unsigned N = 1) {
+    ExecOptions O{N};
+    O.Backend = K;
+    return O;
+  }
+};
+
+/// One campaign cell: a test to run on a configuration (or on the
+/// clean reference when Config is null) at one opt level.
+struct ExecJob {
+  const TestCase *Test = nullptr;
+  const DeviceConfig *Config = nullptr; ///< null = reference run
+  bool Opt = false;
+  RunSettings Settings;
+
+  static ExecJob onConfig(const TestCase &T, const DeviceConfig &C,
+                          bool Opt, const RunSettings &S) {
+    return ExecJob{&T, &C, Opt, S};
+  }
+  static ExecJob onReference(const TestCase &T, bool Opt,
+                             const RunSettings &S) {
+    return ExecJob{&T, nullptr, Opt, S};
+  }
+};
+
+/// Executes one job on the calling thread (pure; every in-process
+/// backend's cells end here).
+RunOutcome runExecJob(const ExecJob &Job);
+
+/// A campaign column: the consecutive cells of one test — every job
+/// references the same TestCase — in submission order. Executing a
+/// column as a unit lets the worker parse and check the kernel source
+/// once and reuse the front end for every cell (device/Driver.h's
+/// TestFrontEnd): pass-free cells read it, optimising cells deep-clone
+/// it (see frontEndUseFor) — instead of re-parsing per cell. Columns
+/// are an execution-granularity choice only: outcomes are
+/// byte-identical to running the same jobs cell-by-cell, and the
+/// outcome cache keeps keying per cell.
+struct ExecColumn {
+  std::vector<ExecJob> Jobs;
+};
+
+/// Groups a flat job list into maximal columns of consecutive jobs
+/// sharing one TestCase (pointer identity). Flattening the result
+/// reproduces \p Jobs exactly, so per-index outcome keying is
+/// unchanged.
+std::vector<ExecColumn> groupIntoColumns(const std::vector<ExecJob> &Jobs);
+
+/// Executes one column on the calling thread, sharing a lazily built
+/// TestFrontEnd across the cells frontEndUseFor admits (read or
+/// clone). Outcomes are in job order and byte-identical to per-cell
+/// runExecJob calls.
+std::vector<RunOutcome> runExecColumn(const ExecColumn &Column);
+
 
 /// Abstract batch executor for campaign cells.
 class ExecBackend {
@@ -75,8 +227,7 @@ public:
   /// implementation — the bit-identity contract hangs off this.
   virtual std::vector<RunOutcome> run(const std::vector<ExecJob> &Jobs) = 0;
 
-  /// Runs a batch of campaign columns (exec/ExecutionEngine.h's
-  /// ExecColumn): the flattened outcome vector matches a run() over
+  /// Runs a batch of campaign columns (ExecColumn above): the flattened outcome vector matches a run() over
   /// the flattened job list byte for byte. Backends that can keep a
   /// column on one worker override this to amortise the front end
   /// across the column's cells; the default flattens and delegates to
@@ -104,11 +255,12 @@ public:
   /// Runs \p Body(I) for every I in [0, N) *in this process*. Sources
   /// use this for generation-side work (building TestCases, EMI
   /// variants) whose closures cannot cross a process boundary; only
-  /// the thread-pool backend parallelises it. Iterations must be
-  /// index-independent, like ExecutionEngine::forEachIndex. Exception
-  /// contract on every backend: all N indices run; the first
-  /// exception (in completion order) is rethrown after the batch
-  /// drains.
+  /// the thread-pool backend parallelises it. Iterations may run
+  /// concurrently and MUST be independent: \p Body may only write
+  /// state owned by its own index (e.g. its slot of a result vector).
+  /// Exception contract on every backend: all N indices run; the
+  /// first exception (in completion order) is rethrown after the
+  /// batch drains. This base implementation is the serial loop.
   virtual void forEachIndex(size_t N,
                             const std::function<void(size_t)> &Body);
 
@@ -125,25 +277,68 @@ public:
   runColumns(const std::vector<ExecColumn> &Columns) override;
 };
 
-/// Thread-pool backend over the ExecutionEngine. With Threads == 1 the
-/// engine bypasses its pool entirely, so this doubles as the
-/// historical serial path.
+/// Thread-pool backend. Workers are spawned once in the constructor
+/// and parked on a condition variable between batches, so per-batch
+/// overhead is a couple of notifications rather than thread churn. N
+/// threads means N-1 workers plus the submitting thread, which claims
+/// indices alongside them. One-thread pools and one-index batches run
+/// the base class's serial loop and wake no worker, so Threads == 1
+/// doubles as the historical serial path.
 class ThreadPoolBackend final : public ExecBackend {
 public:
   explicit ThreadPoolBackend(const ExecOptions &Opts = ExecOptions());
+  ~ThreadPoolBackend() override;
+
+  ThreadPoolBackend(const ThreadPoolBackend &) = delete;
+  ThreadPoolBackend &operator=(const ThreadPoolBackend &) = delete;
 
   BackendKind kind() const override { return BackendKind::Threads; }
-  unsigned concurrency() const override { return Engine.threadCount(); }
+  unsigned concurrency() const override { return NumThreads; }
   std::vector<RunOutcome> run(const std::vector<ExecJob> &Jobs) override;
   std::vector<RunOutcome>
   runColumns(const std::vector<ExecColumn> &Columns) override;
+  /// Generation-side work: cheap and uniform, so it claims
+  /// CheapClaimChunk indices at a time.
   void forEachIndex(size_t N,
                     const std::function<void(size_t)> &Body) override;
 
-  ExecutionEngine &engine() { return Engine; }
+  /// ExecBackend::forEachIndex with an explicit claim size: the number
+  /// of indices a thread claims per queue lock acquisition. Cheap
+  /// bodies claim CheapClaimChunk to cut lock traffic on wide
+  /// machines; timeout-heavy bodies (campaign cells that can burn a
+  /// whole step budget) claim 1 so a slow cell never strands cheap
+  /// neighbours behind it. Results are keyed by index either way, so
+  /// the claim size never changes output, only lock traffic.
+  void forEachIndex(size_t N, const std::function<void(size_t)> &Body,
+                    unsigned ClaimChunk);
+
+  static constexpr unsigned CheapClaimChunk = 8;
 
 private:
-  ExecutionEngine Engine;
+  /// Claims and runs index chunks of batch \p Batch until its queue is
+  /// empty. Pool workers and the submitting thread both run it.
+  void claimUntilDrained(uint64_t Batch);
+  void workerLoop();
+  /// Wakes every worker to exit and joins it.
+  void stopWorkers();
+
+  unsigned NumThreads = 1;
+
+  // Batch state, guarded by M / CV (workers) and DoneCV (submitter).
+  std::mutex M;
+  std::condition_variable CV;
+  std::condition_variable DoneCV;
+  const std::function<void(size_t)> *Body = nullptr;
+  size_t NextIndex = 0;
+  size_t EndIndex = 0;
+  size_t DoneCount = 0;
+  unsigned BatchClaimChunk = 1;
+  uint64_t BatchId = 0;
+  std::exception_ptr FirstError;
+  bool ShuttingDown = false;
+
+  // Declared last: the workers use every member above.
+  std::vector<std::thread> Workers;
 };
 
 /// Builds the backend ExecOptions asks for. The process pool falls

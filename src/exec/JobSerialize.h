@@ -27,7 +27,7 @@
 #ifndef CLFUZZ_EXEC_JOBSERIALIZE_H
 #define CLFUZZ_EXEC_JOBSERIALIZE_H
 
-#include "exec/ExecutionEngine.h"
+#include "exec/ExecBackend.h"
 
 #include <cstdint>
 #include <optional>

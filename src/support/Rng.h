@@ -66,7 +66,7 @@ public:
 
   /// Derives an independent child generator for job \p JobIndex without
   /// advancing this generator's state. Use this at every site that
-  /// hands random state to an ExecutionEngine job: unlike a plain copy
+  /// hands random state to a backend job: unlike a plain copy
   /// (which would give every job the same stream) or sharing (which
   /// would race), the child stream depends only on the parent state and
   /// the index, so results are identical regardless of how many worker

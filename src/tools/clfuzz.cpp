@@ -104,10 +104,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 using namespace clfuzz;
@@ -124,11 +126,19 @@ struct CliArgs {
     auto It = Options.find(Key);
     return It == Options.end() ? Default : It->second;
   }
+  /// A numeric option: the whole value must be a decimal integer that
+  /// fits in uint64_t, otherwise std::invalid_argument names the flag.
   uint64_t getInt(const std::string &Key, uint64_t Default) const {
     auto It = Options.find(Key);
-    return It == Options.end()
-               ? Default
-               : static_cast<uint64_t>(std::atoll(It->second.c_str()));
+    if (It == Options.end())
+      return Default;
+    const std::string &V = It->second;
+    uint64_t N = 0;
+    auto [End, Ec] = std::from_chars(V.data(), V.data() + V.size(), N);
+    if (V.empty() || Ec != std::errc() || End != V.data() + V.size())
+      throw std::invalid_argument("invalid value '" + V + "' for --" + Key +
+                                  " (expected a non-negative integer)");
+    return N;
   }
 };
 

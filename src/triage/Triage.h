@@ -30,15 +30,13 @@
 #ifndef CLFUZZ_TRIAGE_TRIAGE_H
 #define CLFUZZ_TRIAGE_TRIAGE_H
 
-#include "exec/ExecutionEngine.h"
+#include "exec/ExecBackend.h"
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
 namespace clfuzz {
-
-class ExecBackend;
 
 /// How triage dispatches its bisection probes — mirrors the reducer's
 /// scheduling knobs so `hunt --reduce --triage` reuses one wiring.

@@ -1,20 +1,20 @@
-//===- ExecTest.cpp - ExecutionEngine tests ------------------------------------===//
+//===- ExecTest.cpp - Thread-pool backend tests --------------------------------===//
 //
 // Part of the clfuzz project: a reproduction of "Many-Core Compiler
 // Fuzzing" (PLDI 2015).
 //
 //===----------------------------------------------------------------------===//
 //
-// The engine's contract is that parallel execution is unobservable:
+// The thread pool's contract is that parallel execution is unobservable:
 // every campaign result must be bit-identical to the serial path for
 // any worker count, because results aggregate by submission index and
 // jobs share no mutable state. These tests pin that contract for the
-// raw engine, for all three campaign drivers (Table 1/4/5 cells), and
+// raw pool, for all three campaign drivers (Table 1/4/5 cells), and
 // for the reducer's speculative candidate evaluation.
 //
 //===----------------------------------------------------------------------===//
 
-#include "exec/ExecutionEngine.h"
+#include "exec/ExecBackend.h"
 #include "device/DeviceConfig.h"
 #include "oracle/Campaign.h"
 #include "oracle/Reducer.h"
@@ -71,84 +71,81 @@ bool sameTables(const std::vector<ModeTable> &A,
 
 } // namespace
 
-TEST(ExecOptionsTest, PolicyAndResolution) {
-  EXPECT_EQ(ExecOptions::serial().policy(), ExecPolicy::Serial);
-  EXPECT_EQ(ExecOptions::withThreads(8).policy(), ExecPolicy::Parallel);
+TEST(ExecOptionsTest, Resolution) {
+  EXPECT_EQ(ExecOptions::serial().resolvedThreads(), 1u);
   EXPECT_EQ(ExecOptions::withThreads(8).resolvedThreads(), 8u);
   // 0 = auto; must resolve to something usable.
   EXPECT_GE(ExecOptions::withThreads(0).resolvedThreads(), 1u);
 }
 
-TEST(ExecutionEngineTest, ForEachIndexCoversEveryIndexOnce) {
-  // Stress: far more jobs than workers, over repeated batches.
-  ExecutionEngine Engine(ExecOptions::withThreads(8));
-  EXPECT_EQ(Engine.threadCount(), 8u);
+TEST(ThreadPoolTest, ForEachIndexCoversEveryIndexOnce) {
+  // Stress: far more jobs than workers, over repeated batches, at
+  // single-index claiming (the claim size of campaign cells).
+  ThreadPoolBackend Pool(ExecOptions::withThreads(8));
+  EXPECT_EQ(Pool.concurrency(), 8u);
   for (int Round = 0; Round != 3; ++Round) {
     const size_t N = 500;
     std::vector<std::atomic<unsigned>> Hits(N);
-    Engine.forEachIndex(N, [&](size_t I) { Hits[I].fetch_add(1); });
+    Pool.forEachIndex(N, [&](size_t I) { Hits[I].fetch_add(1); }, 1);
     for (size_t I = 0; I != N; ++I)
       EXPECT_EQ(Hits[I].load(), 1u) << "index " << I;
   }
 }
 
-TEST(ExecutionEngineTest, ChunkedClaimingCoversEveryIndexOnce) {
+TEST(ThreadPoolTest, ChunkedClaimingCoversEveryIndexOnce) {
   // Cheap batches claim several indices per lock acquisition; coverage
-  // and results must be identical to single-index claiming.
-  ExecutionEngine Engine(ExecOptions::withThreads(4));
+  // and results must be identical to single-index claiming. The
+  // two-argument overload is the generation-side path and claims
+  // CheapClaimChunk at a time.
+  ThreadPoolBackend Pool(ExecOptions::withThreads(4));
+  const size_t N = 333; // deliberately not a multiple of any chunk
   for (unsigned Chunk : {1u, 2u, 8u, 64u}) {
-    const size_t N = 333; // deliberately not a multiple of any chunk
     std::vector<std::atomic<unsigned>> Hits(N);
-    Engine.forEachIndex(N, [&](size_t I) { Hits[I].fetch_add(1); },
-                        Chunk);
+    Pool.forEachIndex(N, [&](size_t I) { Hits[I].fetch_add(1); }, Chunk);
     for (size_t I = 0; I != N; ++I)
       EXPECT_EQ(Hits[I].load(), 1u)
           << "chunk " << Chunk << " index " << I;
   }
+  std::vector<std::atomic<unsigned>> Hits(N);
+  Pool.forEachIndex(N, [&](size_t I) { Hits[I].fetch_add(1); });
+  for (size_t I = 0; I != N; ++I)
+    EXPECT_EQ(Hits[I].load(), 1u) << "generation-side index " << I;
 }
 
-TEST(ExecutionEngineTest, ChunkedClaimingPropagatesExceptions) {
-  ExecutionEngine Engine(ExecOptions::withThreads(4));
-  EXPECT_THROW(Engine.forEachIndex(
-                   100,
-                   [&](size_t I) {
-                     if (I == 41)
-                       throw std::runtime_error("boom");
-                   },
-                   ExecutionEngine::CheapClaimChunk),
-               std::runtime_error);
-  // The pool must still be usable with chunked claiming afterwards.
-  std::atomic<size_t> Sum{0};
-  Engine.forEachIndex(10, [&](size_t I) { Sum += I; },
-                      ExecutionEngine::CheapClaimChunk);
-  EXPECT_EQ(Sum.load(), 45u);
-}
-
-TEST(ExecutionEngineTest, ResultsKeyedBySubmissionIndex) {
-  ExecutionEngine Engine(ExecOptions::withThreads(4));
+TEST(ThreadPoolTest, ResultsKeyedBySubmissionIndex) {
+  ThreadPoolBackend Pool(ExecOptions::withThreads(4));
   const size_t N = 300;
   std::vector<uint64_t> Out(N);
-  Engine.forEachIndex(N, [&](size_t I) { Out[I] = I * I + 7; });
+  Pool.forEachIndex(N, [&](size_t I) { Out[I] = I * I + 7; });
   for (size_t I = 0; I != N; ++I)
     EXPECT_EQ(Out[I], I * I + 7);
 }
 
-TEST(ExecutionEngineTest, PropagatesJobExceptions) {
-  ExecutionEngine Engine(ExecOptions::withThreads(4));
-  EXPECT_THROW(
-      Engine.forEachIndex(64,
-                          [&](size_t I) {
-                            if (I == 13)
-                              throw std::runtime_error("boom");
-                          }),
-      std::runtime_error);
-  // The pool must still be usable after a throwing batch.
-  std::atomic<size_t> Sum{0};
-  Engine.forEachIndex(10, [&](size_t I) { Sum += I; });
-  EXPECT_EQ(Sum.load(), 45u);
+TEST(ThreadPoolTest, PropagatesExceptionsAtEveryClaimSize) {
+  ThreadPoolBackend Pool(ExecOptions::withThreads(4));
+  for (unsigned Chunk : {1u, ThreadPoolBackend::CheapClaimChunk}) {
+    // Every index still runs; the throw surfaces after the drain.
+    std::vector<std::atomic<unsigned>> Hits(100);
+    EXPECT_THROW(Pool.forEachIndex(
+                     Hits.size(),
+                     [&](size_t I) {
+                       Hits[I].fetch_add(1);
+                       if (I == 13 || I == 41)
+                         throw std::runtime_error("boom");
+                     },
+                     Chunk),
+                 std::runtime_error)
+        << "chunk " << Chunk;
+    for (size_t I = 0; I != Hits.size(); ++I)
+      EXPECT_EQ(Hits[I].load(), 1u) << "chunk " << Chunk << " index " << I;
+    // The pool must still be usable after a throwing batch.
+    std::atomic<size_t> Sum{0};
+    Pool.forEachIndex(10, [&](size_t I) { Sum += I; }, Chunk);
+    EXPECT_EQ(Sum.load(), 45u) << "chunk " << Chunk;
+  }
 }
 
-TEST(ExecutionEngineTest, RunBatchMatchesDirectDriverCalls) {
+TEST(ThreadPoolTest, RunMatchesDirectDriverCalls) {
   std::vector<DeviceConfig> Zoo = smallZoo();
   GenOptions GO;
   GO.Mode = GenMode::Barrier;
@@ -165,8 +162,8 @@ TEST(ExecutionEngineTest, RunBatchMatchesDirectDriverCalls) {
   Jobs.push_back(ExecJob::onReference(T, true, RunSettings()));
   Expected.push_back(runTestOnReference(T, true));
 
-  ExecutionEngine Engine(ExecOptions::withThreads(3));
-  std::vector<RunOutcome> Got = Engine.runBatch(Jobs);
+  ThreadPoolBackend Pool(ExecOptions::withThreads(3));
+  std::vector<RunOutcome> Got = Pool.run(Jobs);
   ASSERT_EQ(Got.size(), Expected.size());
   for (size_t I = 0; I != Got.size(); ++I) {
     EXPECT_EQ(Got[I].Status, Expected[I].Status) << "job " << I;
