@@ -7,12 +7,12 @@
 ///
 /// Measures **uncached cells/sec on a compile-bound differential
 /// campaign** — the number the parse-once/clone-per-cell front end
-/// (docs/compile-pipeline.md) exists to move. The workload is the same
-/// column shape as vm_throughput.cpp (N kernels × the paper's
-/// above-threshold configuration columns, a reference run plus an
-/// optimised configuration run per column), executed with no outcome
-/// cache through `runColumns(groupIntoColumns(...))`, but generated
-/// compile-heavy: larger structure-size knobs and small launch
+/// (docs/compile-pipeline.md) exists to move. The workload is N
+/// kernels × the paper's above-threshold configuration columns (a
+/// reference run plus an optimised configuration run per column),
+/// executed with no outcome cache through
+/// `runColumns(groupIntoColumns(...))`, but generated compile-heavy:
+/// larger structure-size knobs and small launch
 /// geometries, so the front end — not the VM — is the dominant cost,
 /// as it is for the short-running kernels real campaigns burn most of
 /// their wall-clock compiling.

@@ -17,11 +17,14 @@
 #include "vm/Codegen.h"
 #include "vm/VM.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <unordered_map>
 
 using namespace clfuzz;
 
@@ -261,7 +264,7 @@ RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
                          uint64_t Salt,
                          const std::vector<std::string> &IceMessages,
                          const RunSettings &Settings,
-                         const TestFrontEnd *SharedFE) {
+                         const TestFrontEnd *SharedFE, LaunchMemo *Memo) {
   RunOutcome Out;
   uint64_t SourceHash = fnv64(Test.Source);
   // Geometry hash: identical across EMI variants of one base. Crash
@@ -402,7 +405,8 @@ RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
     return Out;
   }
 
-  // --- 6. host setup and launch
+  // --- 6. host setup and launch (or, with a column's memo, a replay
+  // of an equal earlier launch: the same result and output bytes)
   std::vector<Buffer> Buffers;
   int OutIndex = -1;
   for (const BufferSpec &Spec : Test.Buffers) {
@@ -436,7 +440,8 @@ RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
 
   LaunchResult LR = [&] {
     PhaseTimer T(CompilePhase::Exec);
-    return launchKernel(CR.Module, Buffers, Args, LO);
+    return Memo ? Memo->launch(CR.Module, Buffers, Args, OutIndex, LO)
+                : launchKernel(CR.Module, Buffers, Args, LO);
   }();
   Out.Steps = LR.StepsExecuted;
   Out.RaceFound = LR.RaceFound;
@@ -534,11 +539,12 @@ RunOutcome clfuzz::runTestOnConfig(const TestCase &Test,
                                    const DeviceConfig &Config,
                                    bool OptEnabled,
                                    const RunSettings &Settings,
-                                   const TestFrontEnd *SharedFE) {
+                                   const TestFrontEnd *SharedFE,
+                                   LaunchMemo *Memo) {
   const DeviceBugModel &Bugs = Config.bugs(OptEnabled);
   bool RunOptimizer = OptEnabled && !Config.NoOptimizer;
   return compileAndRun(Test, Bugs, RunOptimizer, OptEnabled, Config.Salt,
-                       Config.IceMessages, Settings, SharedFE);
+                       Config.IceMessages, Settings, SharedFE, Memo);
 }
 
 PassOptions clfuzz::passPipelineOptionsFor(const DeviceConfig &Config,
@@ -552,9 +558,249 @@ PassOptions clfuzz::passPipelineOptionsFor(const DeviceConfig &Config,
 
 RunOutcome clfuzz::runTestOnReference(const TestCase &Test, bool Optimize,
                                       const RunSettings &Settings,
-                                      const TestFrontEnd *SharedFE) {
+                                      const TestFrontEnd *SharedFE,
+                                      LaunchMemo *Memo) {
   DeviceBugModel Clean;
   Clean.SpeedFactor = 16.0; // a fast, reliable host
   return compileAndRun(Test, Clean, Optimize, Optimize,
-                       /*Salt=*/0, {}, Settings, SharedFE);
+                       /*Salt=*/0, {}, Settings, SharedFE, Memo);
+}
+
+//===----------------------------------------------------------------------===//
+// Launch memo
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Writes a launch key as flat bytes. A type's first occurrence writes
+/// its shape, later ones a back reference by first-occurrence number,
+/// so the key depends on type structure only, never on which
+/// ASTContext owns the types (and self-referential records end).
+class LaunchKeyWriter {
+public:
+  explicit LaunchKeyWriter(size_t SizeHint) : Buf(SizeHint, '\0') {}
+
+  /// The key written so far; the writer is spent afterwards.
+  std::string take() {
+    Buf.resize(Pos);
+    return std::move(Buf);
+  }
+
+  void u8(uint8_t V) { put(&V, 1); }
+  void u32(uint32_t V) { put(&V, 4); }
+  void u64(uint64_t V) { put(&V, 8); }
+  void bytes(const void *P, size_t N) {
+    u64(N);
+    put(P, N);
+  }
+  void str(const std::string &S) { bytes(S.data(), S.size()); }
+
+  void type(const Type *T) {
+    if (!T) {
+      u8(0);
+      return;
+    }
+    auto [It, New] = Seen.try_emplace(T, static_cast<uint32_t>(Seen.size()));
+    if (!New) {
+      u8(1);
+      u32(It->second);
+      return;
+    }
+    u8(2);
+    u8(static_cast<uint8_t>(T->getKind()));
+    switch (T->getKind()) {
+    case Type::TypeKind::Void:
+      break;
+    case Type::TypeKind::Scalar:
+      u8(static_cast<uint8_t>(cast<ScalarType>(T)->getScalarKind()));
+      break;
+    case Type::TypeKind::Vector: {
+      const auto *VT = cast<VectorType>(T);
+      type(VT->getElementType());
+      u32(VT->getNumLanes());
+      break;
+    }
+    case Type::TypeKind::Array: {
+      const auto *AT = cast<ArrayType>(T);
+      type(AT->getElementType());
+      u64(AT->getNumElements());
+      break;
+    }
+    case Type::TypeKind::Pointer: {
+      const auto *PT = cast<PointerType>(T);
+      type(PT->getPointeeType());
+      u8(static_cast<uint8_t>(PT->getAddressSpace()));
+      u8(PT->isPointeeVolatile());
+      break;
+    }
+    case Type::TypeKind::Record: {
+      const auto *RT = cast<RecordType>(T);
+      str(RT->getName());
+      u8(RT->isUnion());
+      u8(RT->isComplete());
+      u32(RT->getNumFields());
+      for (const RecordField &F : RT->fields()) {
+        str(F.Name);
+        type(F.Ty);
+        u8(F.IsVolatile);
+      }
+      break;
+    }
+    }
+  }
+
+private:
+  void put(const void *P, size_t N) {
+    if (Buf.size() - Pos < N)
+      Buf.resize(std::max(2 * Buf.size(), Pos + N));
+    std::memcpy(&Buf[Pos], P, N);
+    Pos += N;
+  }
+
+  std::string Buf;
+  size_t Pos = 0;
+  std::unordered_map<const Type *, uint32_t> Seen;
+};
+
+/// The launch key: every input of launchKernel but Opts.StepBudget,
+/// plus the output buffer's index.
+std::string launchKey(const CompiledModule &M,
+                      const std::vector<Buffer> &Buffers,
+                      const std::vector<KernelArg> &Args, int OutIndex,
+                      const LaunchOptions &Opts) {
+  // Sized for the common case up front (an instruction takes 22 bytes
+  // at most once its type has been seen); the writer grows if needed.
+  size_t Size = 256 + Args.size() * 150;
+  for (const CompiledFunction &F : M.Functions)
+    Size += 64 + F.Name.size() + F.Params.size() * 13 + F.Code.size() * 22;
+  for (const Buffer &B : Buffers)
+    Size += 9 + B.Bytes.size();
+  LaunchKeyWriter W(Size);
+  W.u32(M.KernelIndex);
+  W.u64(M.LocalArenaSize);
+  W.u32(M.NumBarrierSites);
+  W.u32(static_cast<uint32_t>(M.Functions.size()));
+  for (const CompiledFunction &F : M.Functions) {
+    W.str(F.Name);
+    W.type(F.ReturnTy);
+    W.u32(static_cast<uint32_t>(F.Params.size()));
+    for (const CompiledParam &P : F.Params) {
+      W.u64(P.FrameOffset);
+      W.type(P.Ty);
+    }
+    W.u64(F.FrameSize);
+    W.u64(F.Code.size());
+    for (const Insn &I : F.Code) {
+      W.u8(static_cast<uint8_t>(I.Opcode));
+      W.u32(I.A);
+      W.u32(I.B);
+      W.u64(I.Imm);
+      W.type(I.Ty);
+    }
+  }
+  W.u32(static_cast<uint32_t>(Buffers.size()));
+  for (const Buffer &B : Buffers) {
+    W.u8(static_cast<uint8_t>(B.Space));
+    W.bytes(B.Bytes.data(), B.Bytes.size());
+  }
+  W.u32(static_cast<uint32_t>(Args.size()));
+  for (const KernelArg &A : Args) {
+    W.u8(A.IsBuffer);
+    W.u32(A.BufferIndex);
+    W.type(A.Scalar.Ty);
+    W.u32(A.Scalar.NumLanes);
+    for (uint64_t Lane : A.Scalar.Lanes)
+      W.u64(Lane);
+  }
+  W.u32(static_cast<uint32_t>(OutIndex));
+  for (int I = 0; I != 3; ++I) {
+    W.u32(Opts.Range.Global[I]);
+    W.u32(Opts.Range.Local[I]);
+  }
+  W.u64(Opts.SchedulerSeed);
+  W.u8(Opts.DetectRaces);
+  W.u64(Opts.PrivateArenaSize);
+  W.u32(Opts.MaxCallDepth);
+  return W.take();
+}
+
+/// A word-at-a-time hash of the key bytes; cheaper than byte-wise
+/// FNV-1a on keys of tens of kilobytes. Collisions only cost a full
+/// key comparison.
+uint64_t hashLaunchKey(const std::string &Key) {
+  uint64_t H = 0x9e3779b97f4a7c15ULL ^ Key.size();
+  size_t I = 0;
+  auto Mix = [&](uint64_t W) {
+    H = (H ^ W) * 0xff51afd7ed558ccdULL;
+    H ^= H >> 32;
+  };
+  for (; I + 8 <= Key.size(); I += 8) {
+    uint64_t W;
+    std::memcpy(&W, Key.data() + I, 8);
+    Mix(W);
+  }
+  uint64_t Tail = 0;
+  std::memcpy(&Tail, Key.data() + I, Key.size() - I);
+  Mix(Tail);
+  return H;
+}
+
+} // namespace
+
+struct LaunchMemo::Outcome {
+  uint64_t Budget;
+  LaunchResult Result;
+  std::vector<uint8_t> Output;
+
+  /// The reuse rule: a Success replays under any budget that covers
+  /// its steps; anything else only under the budget it ran with.
+  bool servesBudget(uint64_t StepBudget) const {
+    if (Result.Status == LaunchStatus::Success)
+      return StepBudget >= Result.StepsExecuted;
+    return StepBudget == Budget;
+  }
+};
+
+struct LaunchMemo::Slot {
+  uint64_t Hash;
+  std::string Key;
+  std::vector<Outcome> Outcomes;
+};
+
+LaunchMemo::LaunchMemo() = default;
+LaunchMemo::~LaunchMemo() = default;
+
+LaunchResult LaunchMemo::launch(const CompiledModule &Module,
+                                std::vector<Buffer> &Buffers,
+                                const std::vector<KernelArg> &Args,
+                                int OutIndex, const LaunchOptions &Opts) {
+  assert(OutIndex < static_cast<int>(Buffers.size()) &&
+         "output index names a missing buffer");
+  std::string Key = launchKey(Module, Buffers, Args, OutIndex, Opts);
+  uint64_t Hash = hashLaunchKey(Key);
+  // A column holds a few dozen cells at most; a linear scan is enough.
+  Slot *S = nullptr;
+  for (Slot &Candidate : Slots)
+    if (Candidate.Hash == Hash && Candidate.Key == Key) {
+      S = &Candidate;
+      break;
+    }
+  if (S) {
+    for (const Outcome &O : S->Outcomes)
+      if (O.servesBudget(Opts.StepBudget)) {
+        countVmMemoHit();
+        if (OutIndex >= 0)
+          Buffers[OutIndex].Bytes = O.Output;
+        return O.Result;
+      }
+  } else {
+    Slots.push_back(Slot{Hash, std::move(Key), {}});
+    S = &Slots.back();
+  }
+  LaunchResult R = launchKernel(Module, Buffers, Args, Opts);
+  S->Outcomes.push_back(
+      Outcome{Opts.StepBudget, R,
+              OutIndex >= 0 ? Buffers[OutIndex].Bytes
+                            : std::vector<uint8_t>()});
+  return R;
 }

@@ -160,21 +160,69 @@ FrontEndUse frontEndUseFor(const DeviceConfig *Config, bool OptEnabled);
 bool compileCloneEnabled();
 void setCompileCloneEnabled(bool Enabled);
 
+/// Runs each distinct kernel launch of one campaign column once. On a
+/// given kernel most configurations' bug models never fire, so most
+/// cells of a column hand the VM the same bytecode, inputs, NDRange
+/// and scheduler seed; the memo replays the first such launch for the
+/// rest.
+///
+/// The key is everything a launch's outcome depends on except the
+/// step budget: the module (every function's name, return type,
+/// parameter offsets and types, frame size and instructions, with
+/// types written by structure so modules compiled from a cloned
+/// ASTContext match), the kernel index, local arena size and barrier
+/// site count; the buffers' spaces and bytes; the arguments; the
+/// output index; and every LaunchOptions field but StepBudget. A hash
+/// match is confirmed by comparing the full key.
+///
+/// A stored Success replays exactly under any budget of at least its
+/// StepsExecuted (the VM checks the budget only at slice starts and
+/// clips only the last slice); every other status replays only under
+/// an equal budget. Otherwise the launch runs and its result is
+/// stored too.
+///
+/// Owned by the executor of one column (runExecColumn) and dropped
+/// with it: no state outlives the column, and there is no lock. Not
+/// thread-safe.
+class LaunchMemo {
+public:
+  LaunchMemo();
+  ~LaunchMemo();
+
+  /// launchKernel, or a replay of an earlier launch of this memo. A
+  /// replay writes only Buffers[OutIndex] (the stored output bytes;
+  /// nothing when OutIndex is negative) and counts one
+  /// VmCounters::MemoHits instead of one Launches.
+  LaunchResult launch(const CompiledModule &Module,
+                      std::vector<Buffer> &Buffers,
+                      const std::vector<KernelArg> &Args, int OutIndex,
+                      const LaunchOptions &Opts);
+
+private:
+  struct Outcome;
+  struct Slot;
+  std::vector<Slot> Slots;
+};
+
 /// Compiles and runs \p Test on \p Config with optimisations
 /// enabled/disabled. \p SharedFE, when non-null, supplies the parsed
 /// front end, read or cloned per frontEndUseFor; otherwise the source
-/// is re-parsed (byte-identical outcome either way).
+/// is re-parsed (byte-identical outcome either way). \p Memo, when
+/// non-null, serves the launch if the column already ran an equal one
+/// (byte-identical outcome either way).
 RunOutcome runTestOnConfig(const TestCase &Test,
                            const DeviceConfig &Config, bool OptEnabled,
                            const RunSettings &Settings = RunSettings(),
-                           const TestFrontEnd *SharedFE = nullptr);
+                           const TestFrontEnd *SharedFE = nullptr,
+                           LaunchMemo *Memo = nullptr);
 
 /// Reference run: no bug models, optimisations optional. Used by
 /// tests, the EMI machinery and the reducer as a well-tested baseline
 /// (the analogue of a trusted Oclgrind build).
 RunOutcome runTestOnReference(const TestCase &Test, bool Optimize,
                               const RunSettings &Settings = RunSettings(),
-                              const TestFrontEnd *SharedFE = nullptr);
+                              const TestFrontEnd *SharedFE = nullptr,
+                              LaunchMemo *Memo = nullptr);
 
 /// The exact PassOptions the driver would hand buildPipeline for a
 /// run of \p Test on \p Config at \p OptEnabled — the single source

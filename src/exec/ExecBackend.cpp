@@ -86,12 +86,28 @@ std::vector<RunOutcome> clfuzz::runExecColumn(const ExecColumn &Column) {
   // whose every cell runs the optimiser (or an AST-mutating bug pass)
   // never pay the parse.
   std::unique_ptr<TestFrontEnd> FE;
+  // Most cells of a column launch the same bytecode on the same inputs
+  // (their configurations' bug models did not fire): each distinct
+  // launch runs once. Launches can only repeat between cells whose
+  // settings give the VM the same scheduler seed, dead-array contents
+  // and race detection; a cell with no such partner in its column
+  // (a one-cell column, or a reducer's race-detecting reference run
+  // beside its plain configuration run) could only pay for the key.
+  LaunchMemo Memo;
+  auto MayRepeatLaunch = [&](const RunSettings &S) {
+    size_t Partners = 0;
+    for (const ExecJob &Other : Column.Jobs)
+      Partners += Other.Settings.SchedulerSeed == S.SchedulerSeed &&
+                  Other.Settings.InvertDead == S.InvertDead &&
+                  Other.Settings.DetectRaces == S.DetectRaces;
+    return Partners > 1; // the cell itself is one
+  };
   for (const ExecJob &J : Column.Jobs) {
     assert(J.Test == Column.Jobs.front().Test &&
            "column cells must share one test");
-    // The fault-injection hooks bypass the driver entirely; route them
-    // through runExecJob so the process-pool isolation tests see the
-    // same behaviour on the column path.
+    // The fault-injection hooks bypass the driver (and the memo)
+    // entirely; route them through runExecJob so the process-pool
+    // isolation tests see the same behaviour on the column path.
     if (J.Settings.DebugHardAbort || J.Settings.DebugSpinMs) {
       Out.push_back(runExecJob(J));
       continue;
@@ -102,11 +118,12 @@ std::vector<RunOutcome> clfuzz::runExecColumn(const ExecColumn &Column) {
         FE = std::make_unique<TestFrontEnd>(*J.Test);
       Shared = FE.get();
     }
+    LaunchMemo *CellMemo = MayRepeatLaunch(J.Settings) ? &Memo : nullptr;
     Out.push_back(J.Config
                       ? runTestOnConfig(*J.Test, *J.Config, J.Opt,
-                                        J.Settings, Shared)
+                                        J.Settings, Shared, CellMemo)
                       : runTestOnReference(*J.Test, J.Opt, J.Settings,
-                                           Shared));
+                                           Shared, CellMemo));
   }
   return Out;
 }

@@ -207,8 +207,9 @@ std::vector<ExecColumn> groupIntoColumns(const std::vector<ExecJob> &Jobs);
 
 /// Executes one column on the calling thread, sharing a lazily built
 /// TestFrontEnd across the cells frontEndUseFor admits (read or
-/// clone). Outcomes are in job order and byte-identical to per-cell
-/// runExecJob calls.
+/// clone) and a LaunchMemo across its cells, so each distinct launch
+/// runs once (fault-injection cells bypass both). Outcomes are in job
+/// order and byte-identical to per-cell runExecJob calls.
 std::vector<RunOutcome> runExecColumn(const ExecColumn &Column);
 
 

@@ -118,6 +118,7 @@ bool CampaignScheduler::stepOnce() {
   C.Stats.VmFused += Vm1.FusedExecuted - Vm0.FusedExecuted;
   C.Stats.VmLaunches += Vm1.Launches - Vm0.Launches;
   C.Stats.VmEngineReuses += Vm1.EngineReuses - Vm0.EngineReuses;
+  C.Stats.VmMemoHits += Vm1.MemoHits - Vm0.MemoHits;
   CompileCounters Cc1 = compileCounters();
   C.Stats.Compile.Parses += Cc1.Parses - Cc0.Parses;
   C.Stats.Compile.ParseNs += Cc1.ParseNs - Cc0.ParseNs;

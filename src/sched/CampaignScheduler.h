@@ -125,6 +125,7 @@ struct CampaignStats {
   uint64_t VmFused = 0;
   uint64_t VmLaunches = 0;
   uint64_t VmEngineReuses = 0;
+  uint64_t VmMemoHits = 0;
   /// Per-phase compile profiler deltas during its steps (zero-valued,
   /// like the VM counters, when the backend compiles in worker
   /// processes the coordinator cannot see).

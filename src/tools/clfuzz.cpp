@@ -403,12 +403,14 @@ void printCacheStats(const CliArgs &A, const ExecOptions &Opts,
   VmCounters V = vmCounters();
   std::fprintf(stderr,
                "campaign=%s vm_dispatch=%s vm_instructions=%llu "
-               "vm_fused=%llu vm_launches=%llu vm_engine_reuses=%llu\n",
+               "vm_fused=%llu vm_launches=%llu vm_engine_reuses=%llu "
+               "vm_memo_hits=%llu\n",
                Campaign, vmDispatchName(vmDispatchMode()),
                static_cast<unsigned long long>(V.Instructions),
                static_cast<unsigned long long>(V.FusedExecuted),
                static_cast<unsigned long long>(V.Launches),
-               static_cast<unsigned long long>(V.EngineReuses));
+               static_cast<unsigned long long>(V.EngineReuses),
+               static_cast<unsigned long long>(V.MemoHits));
   printCompileLine(Campaign, compileCounters());
   printTriageLine(Campaign, triageCounters());
   printFleetLine(Campaign, fleetCounters());
@@ -868,12 +870,13 @@ int cmdSched(const CliArgs &A) {
       std::fprintf(
           stderr,
           "campaign=%s vm_dispatch=%s vm_instructions=%llu vm_fused=%llu "
-          "vm_launches=%llu vm_engine_reuses=%llu\n",
+          "vm_launches=%llu vm_engine_reuses=%llu vm_memo_hits=%llu\n",
           C.Name.c_str(), vmDispatchName(vmDispatchMode()),
           static_cast<unsigned long long>(C.Stats.VmInstructions),
           static_cast<unsigned long long>(C.Stats.VmFused),
           static_cast<unsigned long long>(C.Stats.VmLaunches),
-          static_cast<unsigned long long>(C.Stats.VmEngineReuses));
+          static_cast<unsigned long long>(C.Stats.VmEngineReuses),
+          static_cast<unsigned long long>(C.Stats.VmMemoHits));
       printCompileLine(C.Name.c_str(), C.Stats.Compile);
       printTriageLine(C.Name.c_str(), C.Stats.Triage);
       printFleetLine(C.Name.c_str(), C.Stats.Fleet);

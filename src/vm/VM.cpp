@@ -79,6 +79,7 @@ std::atomic<uint64_t> GInstructions{0};
 std::atomic<uint64_t> GFusedExecuted{0};
 std::atomic<uint64_t> GLaunches{0};
 std::atomic<uint64_t> GEngineReuses{0};
+std::atomic<uint64_t> GMemoHits{0};
 
 } // namespace
 
@@ -147,7 +148,12 @@ VmCounters clfuzz::vmCounters() {
   C.FusedExecuted = GFusedExecuted.load(std::memory_order_relaxed);
   C.Launches = GLaunches.load(std::memory_order_relaxed);
   C.EngineReuses = GEngineReuses.load(std::memory_order_relaxed);
+  C.MemoHits = GMemoHits.load(std::memory_order_relaxed);
   return C;
+}
+
+void clfuzz::countVmMemoHit() {
+  GMemoHits.fetch_add(1, std::memory_order_relaxed);
 }
 
 namespace {

@@ -180,8 +180,13 @@ struct VmCounters {
   uint64_t FusedExecuted = 0; ///< superinstruction dispatches (pair = 1)
   uint64_t Launches = 0;      ///< kernel launches executed
   uint64_t EngineReuses = 0;  ///< launches served by a reused engine
+  uint64_t MemoHits = 0;      ///< launches a LaunchMemo replayed
 };
 VmCounters vmCounters();
+
+/// Counts one launch replayed by a column's LaunchMemo
+/// (device/Driver.h). Called by the memo; not a stable external API.
+void countVmMemoHit();
 
 //===----------------------------------------------------------------------===//
 // Launch API

@@ -32,6 +32,7 @@
 #include "oracle/Campaign.h"
 #include "oracle/Reducer.h"
 #include "support/Diag.h"
+#include "vm/VM.h"
 
 #include <gtest/gtest.h>
 
@@ -435,8 +436,17 @@ TEST_F(CompilePipelineTest, CountersMatchAdmissionArithmetic) {
   size_t Columns = groupIntoColumns(W.Jobs).size();
 
   CompileCounters Before = compileCounters();
+  VmCounters VmBefore = vmCounters();
   runWorkload(W, BackendKind::Inline, 1, /*MemCache=*/false);
   CompileCounters After = compileCounters();
+  VmCounters VmAfter = vmCounters();
+
+  // Every cell that reaches a launch is timed as one Exec sample and
+  // either runs the VM or is replayed by its column's launch memo.
+  uint64_t MemoHits = VmAfter.MemoHits - VmBefore.MemoHits;
+  EXPECT_EQ(VmAfter.Launches - VmBefore.Launches + MemoHits,
+            After.Execs - Before.Execs);
+  EXPECT_GT(MemoHits, 0u);
 
   EXPECT_EQ(After.Parses - Before.Parses, Columns);
   EXPECT_EQ(After.Semas - Before.Semas, Columns);

@@ -527,13 +527,15 @@ TEST(SchedulerConformanceTest, StatsBreakdownSumsToGlobalCounters) {
   Sched.runToCompletion();
   VmCounters After = vmCounters();
 
-  uint64_t SumInstr = 0, SumLaunches = 0, SumFused = 0, SumReuses = 0;
+  uint64_t SumInstr = 0, SumLaunches = 0, SumFused = 0, SumReuses = 0,
+           SumMemoHits = 0;
   size_t SumSteps = 0;
   for (const ScheduledCampaign &C : Sched.campaigns()) {
     SumInstr += C.Stats.VmInstructions;
     SumLaunches += C.Stats.VmLaunches;
     SumFused += C.Stats.VmFused;
     SumReuses += C.Stats.VmEngineReuses;
+    SumMemoHits += C.Stats.VmMemoHits;
     SumSteps += C.Stats.Steps;
     EXPECT_GT(C.Stats.Jobs, 0u) << C.Name;
     EXPECT_GT(C.Stats.Tests, 0u) << C.Name;
@@ -544,6 +546,8 @@ TEST(SchedulerConformanceTest, StatsBreakdownSumsToGlobalCounters) {
   EXPECT_EQ(SumLaunches, After.Launches - Before.Launches);
   EXPECT_EQ(SumFused, After.FusedExecuted - Before.FusedExecuted);
   EXPECT_EQ(SumReuses, After.EngineReuses - Before.EngineReuses);
+  EXPECT_EQ(SumMemoHits, After.MemoHits - Before.MemoHits);
+  EXPECT_GT(SumMemoHits, 0u);
   EXPECT_EQ(SumSteps, Sched.allocationTrace().size());
   readAll(FD);
   readAll(FH);
