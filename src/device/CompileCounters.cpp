@@ -7,40 +7,35 @@
 
 #include "device/CompileCounters.h"
 
-#include <atomic>
+#include "support/Metrics.h"
 
 using namespace clfuzz;
 
-namespace {
-
-struct PhaseCell {
-  std::atomic<uint64_t> Count{0};
-  std::atomic<uint64_t> Ns{0};
-};
-
-// Indexed by CompilePhase.
-PhaseCell GPhases[6];
-
-} // namespace
+// Each phase owns two adjacent registry slots, its count then its
+// nanoseconds, in CompilePhase order.
+static_assert(static_cast<size_t>(Counter::CompileExecNs) ==
+                  static_cast<size_t>(Counter::CompileParses) +
+                      2 * static_cast<size_t>(CompilePhase::Exec) + 1,
+              "compile counters must be (count, ns) pairs in phase order");
 
 void clfuzz::addCompilePhaseSample(CompilePhase P, uint64_t Ns) {
-  PhaseCell &C = GPhases[static_cast<unsigned>(P)];
-  C.Count.fetch_add(1, std::memory_order_relaxed);
-  C.Ns.fetch_add(Ns, std::memory_order_relaxed);
+  size_t Count = static_cast<size_t>(Counter::CompileParses) +
+                 2 * static_cast<size_t>(P);
+  bump(static_cast<Counter>(Count));
+  bump(static_cast<Counter>(Count + 1), Ns);
 }
 
 CompileCounters clfuzz::compileCounters() {
-  auto Read = [](CompilePhase P, uint64_t &Count, uint64_t &Ns) {
-    const PhaseCell &C = GPhases[static_cast<unsigned>(P)];
-    Count = C.Count.load(std::memory_order_relaxed);
-    Ns = C.Ns.load(std::memory_order_relaxed);
-  };
-  CompileCounters S;
-  Read(CompilePhase::Parse, S.Parses, S.ParseNs);
-  Read(CompilePhase::Sema, S.Semas, S.SemaNs);
-  Read(CompilePhase::Clone, S.Clones, S.CloneNs);
-  Read(CompilePhase::Opt, S.Opts, S.OptNs);
-  Read(CompilePhase::Codegen, S.Codegens, S.CodegenNs);
-  Read(CompilePhase::Exec, S.Execs, S.ExecNs);
-  return S;
+  return {counterValue(Counter::CompileParses),
+          counterValue(Counter::CompileParseNs),
+          counterValue(Counter::CompileSemas),
+          counterValue(Counter::CompileSemaNs),
+          counterValue(Counter::CompileClones),
+          counterValue(Counter::CompileCloneNs),
+          counterValue(Counter::CompileOpts),
+          counterValue(Counter::CompileOptNs),
+          counterValue(Counter::CompileCodegens),
+          counterValue(Counter::CompileCodegenNs),
+          counterValue(Counter::CompileExecs),
+          counterValue(Counter::CompileExecNs)};
 }

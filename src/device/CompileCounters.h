@@ -10,7 +10,8 @@
 /// VmCounters analogue for everything that happens before (and around)
 /// a launch: parse, sema, front-end clone, pass pipeline, codegen and
 /// kernel execution, each with an invocation count and total
-/// wall-clock nanoseconds. Updated once per phase per cell from
+/// wall-clock nanoseconds: the `compile` family of the counter
+/// registry (support/Metrics.h). Updated once per phase per cell from
 /// device/Driver.cpp — never from inner loops — and surfaced by
 /// `--stats` (compile_* lines) and per campaign by the scheduler's
 /// around-step snapshot/delta accounting. Worker processes
@@ -58,8 +59,8 @@ struct CompileCounters {
   }
 };
 
-/// Reads the process-wide counters (relaxed atomics; safe from any
-/// thread).
+/// Reads the process-wide counters (a view of the registry's compile
+/// slots; relaxed, safe from any thread).
 CompileCounters compileCounters();
 
 /// Charges one completed phase: +1 invocation, +Ns wall-clock. Called

@@ -14,6 +14,7 @@
 #include "opt/ConstEval.h"
 #include "opt/Pass.h"
 #include "support/Hash.h"
+#include "support/Metrics.h"
 #include "vm/Codegen.h"
 #include "vm/VM.h"
 
@@ -788,7 +789,7 @@ LaunchResult LaunchMemo::launch(const CompiledModule &Module,
   if (S) {
     for (const Outcome &O : S->Outcomes)
       if (O.servesBudget(Opts.StepBudget)) {
-        countVmMemoHit();
+        bump(Counter::VmMemoHits);
         if (OutIndex >= 0)
           Buffers[OutIndex].Bytes = O.Output;
         return O.Result;

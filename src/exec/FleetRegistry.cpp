@@ -8,6 +8,7 @@
 #include "exec/FleetRegistry.h"
 
 #include "exec/WireProtocol.h"
+#include "support/Metrics.h"
 
 #include <cstdio>
 #include <stdexcept>
@@ -18,44 +19,11 @@ using namespace clfuzz;
 // Fleet counters
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-// Process-wide, relaxed: written only inside RemoteBackend::run(),
-// which the campaign scheduler serializes per step, so snapshot/delta
-// attribution (sched/CampaignScheduler.cpp) is exact — the same
-// scheme as the triage counters (triage/Triage.cpp).
-std::atomic<uint64_t> GFleetJoins{0};
-std::atomic<uint64_t> GFleetLeaves{0};
-std::atomic<uint64_t> GFleetEvictions{0};
-std::atomic<uint64_t> GFleetRedials{0};
-std::atomic<uint64_t> GFleetRequeues{0};
-
-} // namespace
-
 FleetCounters clfuzz::fleetCounters() {
-  FleetCounters C;
-  C.Joins = GFleetJoins.load(std::memory_order_relaxed);
-  C.Leaves = GFleetLeaves.load(std::memory_order_relaxed);
-  C.Evictions = GFleetEvictions.load(std::memory_order_relaxed);
-  C.Redials = GFleetRedials.load(std::memory_order_relaxed);
-  C.Requeues = GFleetRequeues.load(std::memory_order_relaxed);
-  return C;
-}
-
-void clfuzz::noteFleetJoin() {
-  GFleetJoins.fetch_add(1, std::memory_order_relaxed);
-}
-void clfuzz::noteFleetLeave() {
-  GFleetLeaves.fetch_add(1, std::memory_order_relaxed);
-}
-void clfuzz::noteFleetEviction() {
-  GFleetEvictions.fetch_add(1, std::memory_order_relaxed);
-}
-void clfuzz::noteFleetRedial() {
-  GFleetRedials.fetch_add(1, std::memory_order_relaxed);
-}
-void clfuzz::noteFleetRequeues(uint64_t N) {
-  GFleetRequeues.fetch_add(N, std::memory_order_relaxed);
+  return {counterValue(Counter::FleetJoins), counterValue(Counter::FleetLeaves),
+          counterValue(Counter::FleetEvictions),
+          counterValue(Counter::FleetRedials),
+          counterValue(Counter::FleetRequeues)};
 }
 
 //===----------------------------------------------------------------------===//

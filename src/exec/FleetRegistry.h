@@ -25,10 +25,11 @@
 /// point a rendezvous worker learns the coordinator's generation.
 ///
 /// This header also hosts the fleet-wide observability shared by the
-/// registry, the remote backend and the worker: the global fleet_*
-/// counters --stats reports (attributed per campaign by the scheduler
-/// exactly like the vm_*/compile_*/triage_* families) and the
-/// structured one-line drop log every connection teardown emits.
+/// registry, the remote backend and the worker: the view of the
+/// fleet_* counters --stats reports (the `fleet` family of the counter
+/// registry, support/Metrics.h, attributed per campaign by the
+/// scheduler like every family) and the structured one-line drop log
+/// every connection teardown emits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +53,7 @@ namespace clfuzz {
 /// A snapshot of the process-wide fleet counters. All counting happens
 /// inside RemoteBackend::run() — i.e. inside a serialized scheduler
 /// step for sched campaigns — so per-campaign deltas sum exactly to
-/// the global totals (the same contract as triage/Triage.h).
+/// the global totals.
 struct FleetCounters {
   uint64_t Joins = 0;     ///< rendezvous workers adopted as live links
   uint64_t Leaves = 0;    ///< graceful drains completed (zero requeues)
@@ -64,12 +65,6 @@ struct FleetCounters {
 /// Reads the current totals (relaxed; exact under the scheduler's
 /// serialized stepping).
 FleetCounters fleetCounters();
-
-void noteFleetJoin();
-void noteFleetLeave();
-void noteFleetEviction();
-void noteFleetRedial();
-void noteFleetRequeues(uint64_t N);
 
 //===----------------------------------------------------------------------===//
 // Structured drop log

@@ -279,6 +279,17 @@ OutcomeCacheStats OutcomeCache::stats() const {
   return S;
 }
 
+MetricsSnapshot clfuzz::metricsSnapshot(const OutcomeCache *Cache) {
+  MetricsSnapshot S = metricsSnapshot();
+  if (Cache) {
+    OutcomeCacheStats C = Cache->stats();
+    S[Counter::CacheHits] = C.Hits;
+    S[Counter::CacheMisses] = C.Misses;
+    S[Counter::CacheCoalesced] = C.Coalesced;
+  }
+  return S;
+}
+
 std::shared_ptr<OutcomeCache>
 clfuzz::makeOutcomeCache(const OutcomeCacheOptions &Opts) {
   if (Opts.Mode == CacheMode::Off)

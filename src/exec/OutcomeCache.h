@@ -44,6 +44,7 @@
 #define CLFUZZ_EXEC_OUTCOMECACHE_H
 
 #include "exec/ExecBackend.h"
+#include "support/Metrics.h"
 
 #include <atomic>
 #include <cstdint>
@@ -193,6 +194,12 @@ private:
 /// std::runtime_error when Mode == Disk and the directory cannot be
 /// created.
 std::shared_ptr<OutcomeCache> makeOutcomeCache(const OutcomeCacheOptions &Opts);
+
+/// The counter registry's snapshot (support/Metrics.h) with its cache
+/// slots set from \p Cache's stats — zero when \p Cache is null. The
+/// cache counts per instance, so this is the one place its counters
+/// join the registry's.
+MetricsSnapshot metricsSnapshot(const OutcomeCache *Cache);
 
 /// Wraps \p Inner so every run() consults \p Cache before dispatch:
 /// hits are served without touching the backend, identical descriptors

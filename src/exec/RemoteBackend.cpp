@@ -36,6 +36,7 @@ std::vector<std::string> clfuzz::splitWorkerList(const std::string &List) {
 #include "exec/WireProtocol.h"
 #include "support/Backoff.h"
 #include "support/Hash.h"
+#include "support/Metrics.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -196,7 +197,7 @@ bool RemoteBackendImpl::dialLink(Link &L, bool IgnorePark) {
   if (!IgnorePark && Clock::now() < L.NextDialAfter)
     return false;
   if (L.EverConnected)
-    noteFleetRedial();
+    bump(Counter::FleetRedials);
   int Fd = wire::connectTcp(L.Host, L.Port, ConnectTimeoutMs);
   bool Ok = Fd >= 0;
   if (Ok) {
@@ -266,7 +267,7 @@ bool RemoteBackendImpl::adoptJoined() {
     L.Advertised = std::max(W.Concurrency, 1u);
     L.LastRecv = Clock::now();
     Links.push_back(std::move(L));
-    noteFleetJoin();
+    bump(Counter::FleetJoins);
     Any = true;
   }
   return Any;
@@ -334,7 +335,7 @@ RemoteBackendImpl::run(const std::vector<ExecJob> &Jobs) {
     size_t Index = static_cast<size_t>(Tag);
     if (++FailCount[Index] <= 1) {
       RetryQueue.push_back(Index);
-      noteFleetRequeues(1);
+      bump(Counter::FleetRequeues);
       return;
     }
     RunOutcome O;
@@ -363,7 +364,7 @@ RemoteBackendImpl::run(const std::vector<ExecJob> &Jobs) {
                             bool HasDeadlineTag) {
     std::map<uint64_t, Clock::time_point> Lost = std::move(L.InFlight);
     logFleetDrop("coordinator", L.name(), Slug);
-    noteFleetEviction();
+    bump(Counter::FleetEvictions);
     dropLink(L);
     for (const auto &Entry : Lost)
       RecordFailure(Entry.first, How,
@@ -561,7 +562,7 @@ RemoteBackendImpl::run(const std::vector<ExecJob> &Jobs) {
       if (L.alive() && L.Draining && L.InFlight.empty()) {
         wire::writeFrame(L.Fd, wire::FrameType::Shutdown, {});
         logFleetDrop("coordinator", L.name(), "drained");
-        noteFleetLeave();
+        bump(Counter::FleetLeaves);
         dropLink(L);
       }
 

@@ -7,8 +7,6 @@
 
 #include "sched/CampaignScheduler.h"
 
-#include "vm/VM.h"
-
 #include <stdexcept>
 
 using namespace clfuzz;
@@ -92,56 +90,14 @@ bool CampaignScheduler::stepOnce() {
   ScheduledCampaign &C = Campaigns[Picked];
 
   // Serialized steps make attribution exact: every cache lookup,
-  // compile phase and VM launch between the snapshots belongs to this
-  // campaign's step.
-  OutcomeCacheStats Cache0;
-  if (Opts.Cache)
-    Cache0 = Opts.Cache->stats();
-  VmCounters Vm0 = vmCounters();
-  CompileCounters Cc0 = compileCounters();
-  TriageCounters Tr0 = triageCounters();
-  FleetCounters Fl0 = fleetCounters();
+  // compile phase, VM launch, triage probe and fleet event between the
+  // snapshots belongs to this campaign's step.
+  MetricsSnapshot Before = metricsSnapshot(Opts.Cache.get());
   size_t Witness0 = C.Task->distinctWitnesses();
 
   C.Task->step();
 
-  if (Opts.Cache) {
-    OutcomeCacheStats Cache1 = Opts.Cache->stats();
-    C.Stats.Cache.Hits += Cache1.Hits - Cache0.Hits;
-    C.Stats.Cache.Misses += Cache1.Misses - Cache0.Misses;
-    C.Stats.Cache.Coalesced += Cache1.Coalesced - Cache0.Coalesced;
-    C.Stats.Cache.DiskHits += Cache1.DiskHits - Cache0.DiskHits;
-    C.Stats.Cache.BadEntries += Cache1.BadEntries - Cache0.BadEntries;
-  }
-  VmCounters Vm1 = vmCounters();
-  C.Stats.VmInstructions += Vm1.Instructions - Vm0.Instructions;
-  C.Stats.VmFused += Vm1.FusedExecuted - Vm0.FusedExecuted;
-  C.Stats.VmLaunches += Vm1.Launches - Vm0.Launches;
-  C.Stats.VmEngineReuses += Vm1.EngineReuses - Vm0.EngineReuses;
-  C.Stats.VmMemoHits += Vm1.MemoHits - Vm0.MemoHits;
-  CompileCounters Cc1 = compileCounters();
-  C.Stats.Compile.Parses += Cc1.Parses - Cc0.Parses;
-  C.Stats.Compile.ParseNs += Cc1.ParseNs - Cc0.ParseNs;
-  C.Stats.Compile.Semas += Cc1.Semas - Cc0.Semas;
-  C.Stats.Compile.SemaNs += Cc1.SemaNs - Cc0.SemaNs;
-  C.Stats.Compile.Clones += Cc1.Clones - Cc0.Clones;
-  C.Stats.Compile.CloneNs += Cc1.CloneNs - Cc0.CloneNs;
-  C.Stats.Compile.Opts += Cc1.Opts - Cc0.Opts;
-  C.Stats.Compile.OptNs += Cc1.OptNs - Cc0.OptNs;
-  C.Stats.Compile.Codegens += Cc1.Codegens - Cc0.Codegens;
-  C.Stats.Compile.CodegenNs += Cc1.CodegenNs - Cc0.CodegenNs;
-  C.Stats.Compile.Execs += Cc1.Execs - Cc0.Execs;
-  C.Stats.Compile.ExecNs += Cc1.ExecNs - Cc0.ExecNs;
-  TriageCounters Tr1 = triageCounters();
-  C.Stats.Triage.Witnesses += Tr1.Witnesses - Tr0.Witnesses;
-  C.Stats.Triage.Probes += Tr1.Probes - Tr0.Probes;
-  C.Stats.Triage.Clusters += Tr1.Clusters - Tr0.Clusters;
-  FleetCounters Fl1 = fleetCounters();
-  C.Stats.Fleet.Joins += Fl1.Joins - Fl0.Joins;
-  C.Stats.Fleet.Leaves += Fl1.Leaves - Fl0.Leaves;
-  C.Stats.Fleet.Evictions += Fl1.Evictions - Fl0.Evictions;
-  C.Stats.Fleet.Redials += Fl1.Redials - Fl0.Redials;
-  C.Stats.Fleet.Requeues += Fl1.Requeues - Fl0.Requeues;
+  C.Stats.Counters += metricsSnapshot(Opts.Cache.get()) - Before;
 
   ++C.Stats.Steps;
   C.Stats.Tests = C.Task->testsDone();

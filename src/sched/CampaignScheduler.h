@@ -36,10 +36,11 @@
 /// chooses when a campaign steps, never what a step does.
 ///
 /// Accounting. Serialized steps make attribution exact: the scheduler
-/// snapshots the shared OutcomeCache's counters and the process-wide
-/// VM counters around every step and charges the deltas to the
-/// stepped campaign. `clfuzz sched --stats` prints the per-campaign
-/// breakdown; the sums equal the global counters (pinned by test).
+/// snapshots the counter registry (support/Metrics.h, with the shared
+/// OutcomeCache's counters in its cache slots) around every step and
+/// charges the difference to the stepped campaign. `clfuzz sched
+/// --stats` prints the per-campaign breakdown; the sums equal the
+/// global counters on every counter (pinned by test).
 ///
 /// docs/scheduler.md is the full design document.
 ///
@@ -48,12 +49,10 @@
 #ifndef CLFUZZ_SCHED_CAMPAIGNSCHEDULER_H
 #define CLFUZZ_SCHED_CAMPAIGNSCHEDULER_H
 
-#include "device/CompileCounters.h"
 #include "exec/ExecBackend.h"
-#include "exec/FleetRegistry.h"
 #include "exec/OutcomeCache.h"
 #include "sched/SchedPolicy.h"
-#include "triage/Triage.h"
+#include "support/Metrics.h"
 
 #include <deque>
 #include <memory>
@@ -120,29 +119,13 @@ struct CampaignStats {
   size_t Tests = 0;     ///< tests completed (task-reported)
   size_t Jobs = 0;      ///< jobs completed (task-reported)
   size_t Witnesses = 0; ///< distinct witnesses (task-reported)
-  OutcomeCacheStats Cache; ///< shared-cache deltas during its steps
-  uint64_t VmInstructions = 0; ///< VM counter deltas during its steps
-  uint64_t VmFused = 0;
-  uint64_t VmLaunches = 0;
-  uint64_t VmEngineReuses = 0;
-  uint64_t VmMemoHits = 0;
-  /// Per-phase compile profiler deltas during its steps (zero-valued,
-  /// like the VM counters, when the backend compiles in worker
-  /// processes the coordinator cannot see).
-  CompileCounters Compile;
-  /// Triage counter deltas during its steps. Witnesses/Probes accrue
-  /// in the step that runs the triage (the reduction lane's, for a
-  /// hunt), Clusters in the consuming campaign's drain step; both are
-  /// inside serialized steps, so per-campaign lines sum exactly to
-  /// the global counters.
-  TriageCounters Triage;
-
-  /// Fleet counter deltas during its steps (exec/FleetRegistry.h):
-  /// joins adopted, drains completed, evictions, redials and job
-  /// requeues its remote shards incurred. All counting happens inside
-  /// RemoteBackend::run() — inside this campaign's serialized step —
-  /// so per-campaign fleet_* lines sum exactly to the global totals.
-  FleetCounters Fleet;
+  /// Every registry counter's movement during its steps, the shared
+  /// cache's included. The vm and compile slots stay zero when the
+  /// backend runs cells in worker processes the coordinator cannot
+  /// see. Triage witnesses and probes accrue in the step that runs the
+  /// triage (the reduction lane's, for a hunt), clusters in the
+  /// consuming campaign's drain step.
+  MetricsSnapshot Counters;
 };
 
 /// A campaign's handle inside the scheduler.
@@ -164,8 +147,8 @@ struct SchedOptions {
   unsigned YieldWindow = 8;
   /// YieldWeighted: weight = 1 + YieldBoost * (window witness sum).
   unsigned YieldBoost = 4;
-  /// The shared outcome cache, when one is configured — the scheduler
-  /// snapshots its stats around steps for per-campaign attribution.
+  /// The shared outcome cache, when one is configured — its stats join
+  /// the around-step snapshots for per-campaign attribution.
   std::shared_ptr<OutcomeCache> Cache;
 };
 

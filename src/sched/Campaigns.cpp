@@ -17,6 +17,7 @@
 #include "exec/Pipeline.h"
 #include "oracle/Campaign.h"
 #include "oracle/Oracle.h"
+#include "support/Metrics.h"
 #include "support/StringUtil.h"
 #include "triage/Triage.h"
 
@@ -312,7 +313,7 @@ private:
     // Charged here (not in triageWitness) so the increment lands
     // inside this campaign's own step under the scheduler: the
     // per-campaign stats delta attributes it exactly.
-    addTriageClusters(Keys.size());
+    bump(Counter::TriageClusters, Keys.size());
     if (Triaged)
       std::fprintf(Out,
                    "\ntriage: %zu distinct bug cluster(s) across %zu "
@@ -580,7 +581,7 @@ public:
     TriageResult R = triageWitness(Reduced, Config, Spec.Opt, TO);
     Probes = R.Probes;
     // One witness: its cluster (if any) is first-seen by definition.
-    addTriageClusters(R.ClusterKey.empty() ? 0 : 1);
+    bump(Counter::TriageClusters, R.ClusterKey.empty() ? 0 : 1);
 
     std::string Label = "seed " +
                         std::to_string(Spec.Gen.Seed) + " config " + Cell;

@@ -84,7 +84,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "device/CompileCounters.h"
 #include "device/DeviceConfig.h"
 #include "device/Driver.h"
 #include "exec/FleetRegistry.h"
@@ -98,6 +97,7 @@
 #include "sched/CampaignScheduler.h"
 #include "sched/CampaignSpec.h"
 #include "sched/Campaigns.h"
+#include "support/Metrics.h"
 #include "support/StringUtil.h"
 #include "triage/Triage.h"
 #include "vm/VM.h"
@@ -211,8 +211,8 @@ int cmdConfigs() {
   return 0;
 }
 
-void printCacheStats(const CliArgs &A, const ExecOptions &Opts,
-                     const char *Campaign);
+void printStats(const CliArgs &A, const ExecOptions &Opts,
+                const char *Campaign);
 
 int cmdRun(const CliArgs &A) {
   TestCase T = TestCase::fromGenerated(generateKernel(genOptionsFrom(A)));
@@ -237,7 +237,7 @@ int cmdRun(const CliArgs &A) {
     std::printf("  (%s)", O.Message.c_str());
   }
   std::printf("\n");
-  printCacheStats(A, ExecOptions(), "run");
+  printStats(A, ExecOptions(), "run");
   return O.ok() ? 0 : 1;
 }
 
@@ -322,98 +322,51 @@ void applyCacheOptions(const CliArgs &A, ExecOptions &Opts) {
 
 /// The --stats epilogue: campaign output never changes with the cache
 /// or the interpreter's tuning, so the counters go to stderr, on their
-/// own lines, only when asked for. Every line is tagged with the
-/// campaign it covers (`campaign=hunt`, or the per-campaign names
-/// under `clfuzz sched`; `campaign=total` sums a sched run). The vm_*
-/// counters cover launches this process executed — under procs/remote
-/// backends the workers keep their own (the coordinator's line then
-/// reports 0 launches).
-/// One `compile_*` breakdown line: the per-phase compile profiler
-/// (device/CompileCounters.h) for \p Campaign. The same formatter
-/// serves the global counters and the scheduler's per-campaign deltas,
-/// so the per-campaign lines sum field-by-field to the campaign=total
-/// line (pinned by SchedulerConformanceTest).
-void printCompileLine(const char *Campaign, const CompileCounters &C) {
-  std::fprintf(
-      stderr,
-      "campaign=%s compile_clone=%s compile_parses=%llu "
-      "compile_parse_ns=%llu compile_semas=%llu compile_sema_ns=%llu "
-      "compile_clones=%llu compile_clone_ns=%llu compile_opts=%llu "
-      "compile_opt_ns=%llu compile_codegens=%llu compile_codegen_ns=%llu "
-      "compile_execs=%llu compile_exec_ns=%llu compile_total_ns=%llu\n",
-      Campaign, compileCloneEnabled() ? "on" : "off",
-      static_cast<unsigned long long>(C.Parses),
-      static_cast<unsigned long long>(C.ParseNs),
-      static_cast<unsigned long long>(C.Semas),
-      static_cast<unsigned long long>(C.SemaNs),
-      static_cast<unsigned long long>(C.Clones),
-      static_cast<unsigned long long>(C.CloneNs),
-      static_cast<unsigned long long>(C.Opts),
-      static_cast<unsigned long long>(C.OptNs),
-      static_cast<unsigned long long>(C.Codegens),
-      static_cast<unsigned long long>(C.CodegenNs),
-      static_cast<unsigned long long>(C.Execs),
-      static_cast<unsigned long long>(C.ExecNs),
-      static_cast<unsigned long long>(C.totalNs()));
+/// own lines, only when asked for. printStatsLines writes one line per
+/// counter-registry family (support/Metrics.h), in list order, each
+/// tagged with the campaign it covers (`campaign=hunt`, or the
+/// per-campaign names under `clfuzz sched`; `campaign=total` sums a
+/// sched run). The vm line leads with the dispatch strategy, the
+/// compile line with the front-end sharing mode and ends with the
+/// derived compile_total_ns (the per-phase nanoseconds summed). The
+/// same formatter serves the global counters and the scheduler's
+/// per-campaign deltas, so the per-campaign lines sum field by field
+/// to the campaign=total line (scripts/check_stats_sums.py). The vm_*
+/// and compile_* counters cover work this process did — under
+/// procs/remote backends the workers keep their own (the coordinator's
+/// lines then report 0 launches).
+void printStatsLines(const char *Campaign, const MetricsSnapshot &S) {
+  for (size_t F = 0; F != NumCounterFamilies; ++F) {
+    CounterFamily Family = static_cast<CounterFamily>(F);
+    std::string Line = std::string("campaign=") + Campaign;
+    if (Family == CounterFamily::Vm)
+      Line += std::string(" vm_dispatch=") +
+              vmDispatchName(vmDispatchMode());
+    if (Family == CounterFamily::Compile)
+      Line += compileCloneEnabled() ? " compile_clone=on"
+                                    : " compile_clone=off";
+    for (size_t I = 0; I != NumCounters; ++I)
+      if (CounterTable[I].Family == Family)
+        Line += std::string(" ") + CounterTable[I].Key + "=" +
+                std::to_string(S.Values[I]);
+    if (Family == CounterFamily::Compile)
+      Line += " compile_total_ns=" +
+              std::to_string(S[Counter::CompileParseNs] +
+                             S[Counter::CompileSemaNs] +
+                             S[Counter::CompileCloneNs] +
+                             S[Counter::CompileOptNs] +
+                             S[Counter::CompileCodegenNs] +
+                             S[Counter::CompileExecNs]);
+    std::fprintf(stderr, "%s\n", Line.c_str());
+  }
 }
 
-/// One `triage_*` breakdown line: witnesses triaged, bisection probes
-/// dispatched, first-seen bug clusters. Shared by the global counters
-/// and the scheduler's per-campaign deltas, so the per-campaign lines
-/// sum field-by-field to the campaign=total line.
-void printTriageLine(const char *Campaign, const TriageCounters &T) {
-  std::fprintf(stderr,
-               "campaign=%s triage_witnesses=%llu triage_probes=%llu "
-               "triage_clusters=%llu\n",
-               Campaign, static_cast<unsigned long long>(T.Witnesses),
-               static_cast<unsigned long long>(T.Probes),
-               static_cast<unsigned long long>(T.Clusters));
-}
-
-/// One `fleet_*` breakdown line: rendezvous joins adopted, graceful
-/// drains, evictions, redials, and requeued jobs on the remote
-/// backend (exec/FleetRegistry.h). Shared by the global counters and
-/// the scheduler's per-campaign deltas, so the per-campaign lines sum
-/// field-by-field to the campaign=total line.
-void printFleetLine(const char *Campaign, const FleetCounters &F) {
-  std::fprintf(stderr,
-               "campaign=%s fleet_joins=%llu fleet_leaves=%llu "
-               "fleet_evictions=%llu fleet_redials=%llu "
-               "fleet_requeues=%llu\n",
-               Campaign, static_cast<unsigned long long>(F.Joins),
-               static_cast<unsigned long long>(F.Leaves),
-               static_cast<unsigned long long>(F.Evictions),
-               static_cast<unsigned long long>(F.Redials),
-               static_cast<unsigned long long>(F.Requeues));
-}
-
-void printCacheStats(const CliArgs &A, const ExecOptions &Opts,
-                     const char *Campaign) {
-  if (!A.has("stats"))
-    return;
-  OutcomeCacheStats S;
-  if (Opts.Cache)
-    S = Opts.Cache->stats();
-  std::fprintf(stderr,
-               "campaign=%s cache_hits=%llu cache_misses=%llu "
-               "coalesced=%llu\n",
-               Campaign, static_cast<unsigned long long>(S.Hits),
-               static_cast<unsigned long long>(S.Misses),
-               static_cast<unsigned long long>(S.Coalesced));
-  VmCounters V = vmCounters();
-  std::fprintf(stderr,
-               "campaign=%s vm_dispatch=%s vm_instructions=%llu "
-               "vm_fused=%llu vm_launches=%llu vm_engine_reuses=%llu "
-               "vm_memo_hits=%llu\n",
-               Campaign, vmDispatchName(vmDispatchMode()),
-               static_cast<unsigned long long>(V.Instructions),
-               static_cast<unsigned long long>(V.FusedExecuted),
-               static_cast<unsigned long long>(V.Launches),
-               static_cast<unsigned long long>(V.EngineReuses),
-               static_cast<unsigned long long>(V.MemoHits));
-  printCompileLine(Campaign, compileCounters());
-  printTriageLine(Campaign, triageCounters());
-  printFleetLine(Campaign, fleetCounters());
+/// The process-wide counters, with \p Opts's cache in the cache slots,
+/// as the --stats epilogue of a solo command or a sched run's total.
+void printStats(const CliArgs &A, const ExecOptions &Opts,
+                const char *Campaign) {
+  if (A.has("stats"))
+    printStatsLines(Campaign, metricsSnapshot(Opts.Cache.get()));
 }
 
 ExecOptions execOptionsFrom(const CliArgs &A) {
@@ -477,7 +430,7 @@ int cmdDiff(const CliArgs &A) {
   // interleaved with others steps through exactly this path.
   std::unique_ptr<CampaignTask> Task = makeDiffTask(Spec, *Backend, stdout);
   runCampaignTask(*Task);
-  printCacheStats(A, Opts, "diff");
+  printStats(A, Opts, "diff");
   return Task->exitCode();
 }
 
@@ -546,7 +499,7 @@ int cmdReduce(const CliArgs &A) {
   // --reduce-backend and --reduce-jobs.
   std::unique_ptr<CampaignTask> Task = makeReduceTask(Spec, stdout);
   runCampaignTask(*Task);
-  printCacheStats(A, Spec.Opts.Exec, "reduce");
+  printStats(A, Spec.Opts.Exec, "reduce");
   return Task->exitCode();
 }
 
@@ -572,7 +525,7 @@ int cmdTriage(const CliArgs &A) {
   // Spec.Opts.Backend at its shared backend instead).
   std::unique_ptr<CampaignTask> Task = makeTriageTask(Spec, stdout);
   runCampaignTask(*Task);
-  printCacheStats(A, Spec.Opts.Exec, "triage");
+  printStats(A, Spec.Opts.Exec, "triage");
   return Task->exitCode();
 }
 
@@ -626,7 +579,7 @@ int cmdHunt(const CliArgs &A) {
   HuntCampaign C =
       makeHuntCampaign(Spec, Opts.resolvedShardSize(), *Backend, stdout);
   runCampaignTask(*C.Main);
-  printCacheStats(A, Opts, "hunt");
+  printStats(A, Opts, "hunt");
   return C.Main->exitCode();
 }
 
@@ -850,8 +803,8 @@ int cmdSched(const CliArgs &A) {
               Sched.allocationTrace().size());
 
   // The per-campaign --stats breakdown. Serialized steps make the
-  // attribution exact: the breakdown's cache and vm sums equal the
-  // campaign=total lines (pinned by SchedulerConformanceTest).
+  // attribution exact: every per-campaign counter sums to its
+  // campaign=total line (pinned by SchedulerConformanceTest).
   if (A.has("stats")) {
     for (const ScheduledCampaign &C : Sched.campaigns()) {
       std::fprintf(stderr,
@@ -860,28 +813,9 @@ int cmdSched(const CliArgs &A) {
                    C.Name.c_str(), schedLaneName(C.Task->lane()),
                    C.Stats.Steps, C.Stats.Tests, C.Stats.Jobs,
                    C.Stats.Witnesses);
-      std::fprintf(
-          stderr,
-          "campaign=%s cache_hits=%llu cache_misses=%llu coalesced=%llu\n",
-          C.Name.c_str(),
-          static_cast<unsigned long long>(C.Stats.Cache.Hits),
-          static_cast<unsigned long long>(C.Stats.Cache.Misses),
-          static_cast<unsigned long long>(C.Stats.Cache.Coalesced));
-      std::fprintf(
-          stderr,
-          "campaign=%s vm_dispatch=%s vm_instructions=%llu vm_fused=%llu "
-          "vm_launches=%llu vm_engine_reuses=%llu vm_memo_hits=%llu\n",
-          C.Name.c_str(), vmDispatchName(vmDispatchMode()),
-          static_cast<unsigned long long>(C.Stats.VmInstructions),
-          static_cast<unsigned long long>(C.Stats.VmFused),
-          static_cast<unsigned long long>(C.Stats.VmLaunches),
-          static_cast<unsigned long long>(C.Stats.VmEngineReuses),
-          static_cast<unsigned long long>(C.Stats.VmMemoHits));
-      printCompileLine(C.Name.c_str(), C.Stats.Compile);
-      printTriageLine(C.Name.c_str(), C.Stats.Triage);
-      printFleetLine(C.Name.c_str(), C.Stats.Fleet);
+      printStatsLines(C.Name.c_str(), C.Stats.Counters);
     }
-    printCacheStats(A, Opts, "total");
+    printStats(A, Opts, "total");
   }
   return Exit;
 }

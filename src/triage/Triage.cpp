@@ -15,19 +15,16 @@
 #include "minicl/Sema.h"
 #include "opt/Pass.h"
 #include "support/Hash.h"
+#include "support/Metrics.h"
 #include "support/StringUtil.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
 
 using namespace clfuzz;
 
 namespace {
-
-std::atomic<uint64_t> GTriageWitnesses{0}, GTriageProbes{0},
-    GTriageClusters{0};
 
 /// The divergence predicate, identical to the differential oracle's
 /// view: a probe "differs" when its outcome class changes or both
@@ -110,7 +107,7 @@ TriageResult clfuzz::triageWitness(const TestCase &Witness,
   ASTContext Ctx;
   if (!parseWitness(Witness, Ctx)) {
     R.Error = "witness does not parse";
-    addTriageWitness(0);
+    bump(Counter::TriageWitnesses);
     return R;
   }
   PassOptions PO = passPipelineOptionsFor(Config, Opt, Witness);
@@ -148,7 +145,8 @@ TriageResult clfuzz::triageWitness(const TestCase &Witness,
   };
   auto ChargeAndReturn = [&]() -> TriageResult & {
     R.Probes = static_cast<unsigned>(Memo.size()) + 1; // + the reference
-    addTriageWitness(R.Probes);
+    bump(Counter::TriageWitnesses);
+    bump(Counter::TriageProbes, R.Probes);
     return R;
   };
 
@@ -322,18 +320,7 @@ std::string clfuzz::renderTriageJsonl(const std::string &Label,
 //===----------------------------------------------------------------------===//
 
 TriageCounters clfuzz::triageCounters() {
-  TriageCounters C;
-  C.Witnesses = GTriageWitnesses.load(std::memory_order_relaxed);
-  C.Probes = GTriageProbes.load(std::memory_order_relaxed);
-  C.Clusters = GTriageClusters.load(std::memory_order_relaxed);
-  return C;
-}
-
-void clfuzz::addTriageWitness(uint64_t Probes) {
-  GTriageWitnesses.fetch_add(1, std::memory_order_relaxed);
-  GTriageProbes.fetch_add(Probes, std::memory_order_relaxed);
-}
-
-void clfuzz::addTriageClusters(uint64_t N) {
-  GTriageClusters.fetch_add(N, std::memory_order_relaxed);
+  return {counterValue(Counter::TriageWitnesses),
+          counterValue(Counter::TriageProbes),
+          counterValue(Counter::TriageClusters)};
 }

@@ -108,9 +108,12 @@ std::string renderTriageCsvRow(const std::string &Label,
 std::string renderTriageJsonl(const std::string &Label,
                               const TriageResult &R);
 
-/// Process-wide triage counters (relaxed atomics, the VmCounters
-/// pattern): `--stats` prints them and the campaign scheduler
-/// attributes around-step deltas per campaign.
+/// Process-wide triage counters, a view of the `triage` family of the
+/// counter registry (support/Metrics.h): `--stats` prints them and the
+/// campaign scheduler attributes around-step deltas per campaign.
+/// triageWitness charges a witness and its probes on completion; the
+/// consuming task charges a cluster key when it first sees it, so
+/// per-campaign attribution under the scheduler is exact.
 struct TriageCounters {
   uint64_t Witnesses = 0; ///< witnesses triaged (errors included)
   uint64_t Probes = 0;    ///< distinct bisection probes dispatched
@@ -118,11 +121,6 @@ struct TriageCounters {
 };
 
 TriageCounters triageCounters();
-/// Charged by triageWitness on completion.
-void addTriageWitness(uint64_t Probes);
-/// Charged by the consuming task when a cluster key is first seen, so
-/// per-campaign attribution under the scheduler is exact.
-void addTriageClusters(uint64_t N);
 
 } // namespace clfuzz
 

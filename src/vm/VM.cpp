@@ -14,6 +14,7 @@
 
 #include "vm/VM.h"
 #include "minicl/IntOps.h"
+#include "support/Metrics.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -74,12 +75,6 @@ namespace {
 
 std::atomic<int> GDispatchMode{-1}; // -1 unresolved, else VmDispatch
 std::atomic<int> GFusionMode{-1};   // -1 unresolved, else 0/1
-
-std::atomic<uint64_t> GInstructions{0};
-std::atomic<uint64_t> GFusedExecuted{0};
-std::atomic<uint64_t> GLaunches{0};
-std::atomic<uint64_t> GEngineReuses{0};
-std::atomic<uint64_t> GMemoHits{0};
 
 } // namespace
 
@@ -143,17 +138,10 @@ bool clfuzz::vmFusionEnabled() {
 }
 
 VmCounters clfuzz::vmCounters() {
-  VmCounters C;
-  C.Instructions = GInstructions.load(std::memory_order_relaxed);
-  C.FusedExecuted = GFusedExecuted.load(std::memory_order_relaxed);
-  C.Launches = GLaunches.load(std::memory_order_relaxed);
-  C.EngineReuses = GEngineReuses.load(std::memory_order_relaxed);
-  C.MemoHits = GMemoHits.load(std::memory_order_relaxed);
-  return C;
-}
-
-void clfuzz::countVmMemoHit() {
-  GMemoHits.fetch_add(1, std::memory_order_relaxed);
+  return {counterValue(Counter::VmInstructions),
+          counterValue(Counter::VmFused), counterValue(Counter::VmLaunches),
+          counterValue(Counter::VmEngineReuses),
+          counterValue(Counter::VmMemoHits)};
 }
 
 namespace {
@@ -905,11 +893,11 @@ LaunchResult Engine::run(const CompiledModule &Mod,
   ++LaunchId;
 
   auto Finish = [&]() -> LaunchResult {
-    GInstructions.fetch_add(Steps, std::memory_order_relaxed);
-    GFusedExecuted.fetch_add(FusedInLaunch, std::memory_order_relaxed);
-    GLaunches.fetch_add(1, std::memory_order_relaxed);
+    bump(Counter::VmInstructions, Steps);
+    bump(Counter::VmFused, FusedInLaunch);
+    bump(Counter::VmLaunches);
     if (Reused)
-      GEngineReuses.fetch_add(1, std::memory_order_relaxed);
+      bump(Counter::VmEngineReuses);
     return Result;
   };
 

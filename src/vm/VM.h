@@ -174,7 +174,8 @@ void setVmFusionEnabled(bool Enabled);
 /// Cumulative per-process interpreter counters (monotonic, updated
 /// once per launch — never from the hot loop). Worker processes
 /// (procs/remote backends) accumulate their own; the coordinator only
-/// sees launches it executed in-process.
+/// sees launches it executed in-process. A view of the `vm` family of
+/// the counter registry (support/Metrics.h).
 struct VmCounters {
   uint64_t Instructions = 0;  ///< dynamic instructions (fused pair = 2)
   uint64_t FusedExecuted = 0; ///< superinstruction dispatches (pair = 1)
@@ -183,10 +184,6 @@ struct VmCounters {
   uint64_t MemoHits = 0;      ///< launches a LaunchMemo replayed
 };
 VmCounters vmCounters();
-
-/// Counts one launch replayed by a column's LaunchMemo
-/// (device/Driver.h). Called by the memo; not a stable external API.
-void countVmMemoHit();
 
 //===----------------------------------------------------------------------===//
 // Launch API

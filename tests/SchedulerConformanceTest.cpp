@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "device/DeviceConfig.h"
+#include "exec/FleetRegistry.h"
 #include "exec/OutcomeCache.h"
 #include "exec/WorkerLoop.h"
 #include "sched/CampaignScheduler.h"
@@ -49,6 +50,22 @@ std::string readAll(std::FILE *F) {
     S.append(Buf, N);
   std::fclose(F);
   return S;
+}
+
+/// The per-campaign counter deltas of \p Sched, summed.
+MetricsSnapshot sumCounters(const CampaignScheduler &Sched) {
+  MetricsSnapshot Sum;
+  for (const ScheduledCampaign &C : Sched.campaigns())
+    Sum += C.Stats.Counters;
+  return Sum;
+}
+
+/// Every registry counter: the summed per-campaign deltas equal the
+/// global movement \p Delta.
+void expectSumsToGlobal(const MetricsSnapshot &Sum,
+                        const MetricsSnapshot &Delta) {
+  for (size_t I = 0; I != NumCounters; ++I)
+    EXPECT_EQ(Sum.Values[I], Delta.Values[I]) << CounterTable[I].Key;
 }
 
 /// The three campaigns every identity test interleaves. The hunt
@@ -370,8 +387,8 @@ TEST(SchedulerConformanceTest, InterleavedMatchesSoloOnRemoteFleet) {
 TEST(SchedulerConformanceTest, FleetCountersSumPerCampaignToGlobal) {
   // Every fleet event (join adoption, drain, eviction, requeue)
   // happens inside RemoteBackend::run(), which the scheduler
-  // serializes per step — so the per-campaign fleet_* deltas must sum
-  // field-by-field to the global counter movement, exactly.
+  // serializes per step — so the per-campaign deltas must sum to the
+  // global counter movement, exactly, fleet_* and every other counter.
   WorkerOptions StaticO;
   StaticO.Jobs = 2;
   WorkerServer Static(StaticO);
@@ -390,7 +407,7 @@ TEST(SchedulerConformanceTest, FleetCountersSumPerCampaignToGlobal) {
   O.Fleet = R;
   std::unique_ptr<ExecBackend> B = makeBackend(O);
 
-  FleetCounters Before = fleetCounters();
+  MetricsSnapshot Before = metricsSnapshot();
   CampaignScheduler Sched(*B);
   std::FILE *FD = std::tmpfile(), *FH = std::tmpfile();
   std::unique_ptr<CampaignTask> D = makeDiffTask(diffSpec(), *B, FD);
@@ -398,23 +415,10 @@ TEST(SchedulerConformanceTest, FleetCountersSumPerCampaignToGlobal) {
   Sched.add("d", *D);
   Sched.add("h", *H.Main);
   Sched.runToCompletion();
-  FleetCounters After = fleetCounters();
-
-  FleetCounters Sum;
-  for (const ScheduledCampaign &C : Sched.campaigns()) {
-    Sum.Joins += C.Stats.Fleet.Joins;
-    Sum.Leaves += C.Stats.Fleet.Leaves;
-    Sum.Evictions += C.Stats.Fleet.Evictions;
-    Sum.Redials += C.Stats.Fleet.Redials;
-    Sum.Requeues += C.Stats.Fleet.Requeues;
-  }
-  EXPECT_EQ(Sum.Joins, After.Joins - Before.Joins);
-  EXPECT_EQ(Sum.Leaves, After.Leaves - Before.Leaves);
-  EXPECT_EQ(Sum.Evictions, After.Evictions - Before.Evictions);
-  EXPECT_EQ(Sum.Redials, After.Redials - Before.Redials);
-  EXPECT_EQ(Sum.Requeues, After.Requeues - Before.Requeues);
+  MetricsSnapshot Sum = sumCounters(Sched);
+  expectSumsToGlobal(Sum, metricsSnapshot() - Before);
   // The rendezvous worker joined inside some campaign's step.
-  EXPECT_GE(Sum.Joins, 1u);
+  EXPECT_GE(Sum[Counter::FleetJoins], 1u);
   readAll(FD);
   readAll(FH);
 }
@@ -501,23 +505,25 @@ TEST(SchedulerConformanceTest, SharedCacheAttributesHitsPerCampaign) {
 
   const CampaignStats &SA = Sched.campaigns()[0].Stats;
   const CampaignStats &SB = Sched.campaigns()[1].Stats;
-  EXPECT_EQ(SA.Cache.Hits, 0u);
-  EXPECT_GT(SA.Cache.Misses, 0u);
-  EXPECT_EQ(SB.Cache.Misses, 0u);
-  EXPECT_EQ(SB.Cache.Hits, SA.Cache.Misses);
+  EXPECT_EQ(SA.Counters[Counter::CacheHits], 0u);
+  EXPECT_GT(SA.Counters[Counter::CacheMisses], 0u);
+  EXPECT_EQ(SB.Counters[Counter::CacheMisses], 0u);
+  EXPECT_EQ(SB.Counters[Counter::CacheHits],
+            SA.Counters[Counter::CacheMisses]);
   // Identical campaigns, identical reports (the cached run included).
   EXPECT_EQ(readAll(FA), readAll(FB));
   // Per-campaign deltas sum to the shared cache's own counters.
   OutcomeCacheStats Global = Cache->stats();
-  EXPECT_EQ(SA.Cache.Hits + SB.Cache.Hits, Global.Hits);
-  EXPECT_EQ(SA.Cache.Misses + SB.Cache.Misses, Global.Misses);
-  EXPECT_EQ(SA.Cache.Coalesced + SB.Cache.Coalesced, Global.Coalesced);
+  MetricsSnapshot Sum = sumCounters(Sched);
+  EXPECT_EQ(Sum[Counter::CacheHits], Global.Hits);
+  EXPECT_EQ(Sum[Counter::CacheMisses], Global.Misses);
+  EXPECT_EQ(Sum[Counter::CacheCoalesced], Global.Coalesced);
 }
 
 TEST(SchedulerConformanceTest, StatsBreakdownSumsToGlobalCounters) {
   ExecOptions O;
   std::unique_ptr<ExecBackend> B = makeBackend(O);
-  VmCounters Before = vmCounters();
+  MetricsSnapshot Before = metricsSnapshot();
   CampaignScheduler Sched(*B);
   std::FILE *FD = std::tmpfile(), *FH = std::tmpfile();
   std::unique_ptr<CampaignTask> D = makeDiffTask(diffSpec(), *B, FD);
@@ -525,29 +531,20 @@ TEST(SchedulerConformanceTest, StatsBreakdownSumsToGlobalCounters) {
   Sched.add("d", *D);
   Sched.add("h", *H.Main);
   Sched.runToCompletion();
-  VmCounters After = vmCounters();
 
-  uint64_t SumInstr = 0, SumLaunches = 0, SumFused = 0, SumReuses = 0,
-           SumMemoHits = 0;
   size_t SumSteps = 0;
   for (const ScheduledCampaign &C : Sched.campaigns()) {
-    SumInstr += C.Stats.VmInstructions;
-    SumLaunches += C.Stats.VmLaunches;
-    SumFused += C.Stats.VmFused;
-    SumReuses += C.Stats.VmEngineReuses;
-    SumMemoHits += C.Stats.VmMemoHits;
     SumSteps += C.Stats.Steps;
     EXPECT_GT(C.Stats.Jobs, 0u) << C.Name;
     EXPECT_GT(C.Stats.Tests, 0u) << C.Name;
   }
-  // Every VM launch during the run happened inside some campaign's
-  // step, so the attributed deltas sum exactly to the global deltas.
-  EXPECT_EQ(SumInstr, After.Instructions - Before.Instructions);
-  EXPECT_EQ(SumLaunches, After.Launches - Before.Launches);
-  EXPECT_EQ(SumFused, After.FusedExecuted - Before.FusedExecuted);
-  EXPECT_EQ(SumReuses, After.EngineReuses - Before.EngineReuses);
-  EXPECT_EQ(SumMemoHits, After.MemoHits - Before.MemoHits);
-  EXPECT_GT(SumMemoHits, 0u);
+  // Every VM launch, compile phase and triage charge during the run
+  // happened inside some campaign's step, so the attributed deltas
+  // sum exactly to the global deltas, counter by counter.
+  MetricsSnapshot Sum = sumCounters(Sched);
+  expectSumsToGlobal(Sum, metricsSnapshot() - Before);
+  EXPECT_GT(Sum[Counter::VmMemoHits], 0u);
+  EXPECT_GT(Sum[Counter::CompileParses], 0u);
   EXPECT_EQ(SumSteps, Sched.allocationTrace().size());
   readAll(FD);
   readAll(FH);
