@@ -1,4 +1,4 @@
-//===- reduction_throughput.cpp - Serial vs pipelined reduction speed ----------===//
+//===- reduction_throughput.cpp - Reduction speed per backend ------------------===//
 //
 // Part of the clfuzz project: a reproduction of "Many-Core Compiler
 // Fuzzing" (PLDI 2015).
@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Measures the reduction pipeline on the Figure 2(f) comma-bug
-/// witness padded with noise: the same reduction runs serial
-/// (inline, no pipelining), pipelined (candidate printing overlapped
-/// with evaluation), and speculative (thread/process backends at
+/// witness padded with noise: the same reduction runs on the inline
+/// backend (one candidate at a time, the next candidates printing
+/// while it evaluates) and speculatively (thread/process backends at
 /// several worker counts), reporting rounds/sec and candidates/sec.
-/// Every row is checked bit-identical to the serial baseline - the
+/// Every row is checked bit-identical to the inline baseline - the
 /// reducer's determinism contract; the sweep changes wall-clock time
 /// only.
 ///
@@ -71,7 +71,6 @@ TestCase paddedWitness(unsigned NoiseStmts) {
 struct Row {
   std::string Name;
   ExecOptions Exec;
-  bool Pipeline;
 };
 
 } // namespace
@@ -87,20 +86,15 @@ int main(int Argc, char **Argv) {
   TestCase Witness = paddedWitness(Noise);
 
   std::vector<Row> Sweep;
-  Sweep.push_back({"inline serial",
-                   ExecOptions::withBackend(BackendKind::Inline), false});
-  Sweep.push_back({"inline pipelined",
-                   ExecOptions::withBackend(BackendKind::Inline), true});
+  Sweep.push_back({"inline", ExecOptions::withBackend(BackendKind::Inline)});
   for (unsigned T = 2; T <= MaxThreads; T *= 2)
     Sweep.push_back({"threads " + std::to_string(T),
-                     ExecOptions::withBackend(BackendKind::Threads, T),
-                     true});
+                     ExecOptions::withBackend(BackendKind::Threads, T)});
   if (Args.Backend != BackendKind::Threads &&
       Args.Backend != BackendKind::Inline)
     Sweep.push_back({std::string(backendKindName(Args.Backend)) + " " +
                          std::to_string(MaxThreads),
-                     ExecOptions::withBackend(Args.Backend, MaxThreads),
-                     true});
+                     ExecOptions::withBackend(Args.Backend, MaxThreads)});
 
   std::printf("reduction throughput: comma-bug witness + %u noise "
               "statements (%u code lines)\n\n",
@@ -109,14 +103,13 @@ int main(int Argc, char **Argv) {
               "tried", "seconds", "cands/sec", "speedup", "result");
   printRule();
 
-  double SerialSecs = 0.0;
-  std::string SerialSource;
-  ReduceStats SerialStats;
+  double InlineSecs = 0.0;
+  std::string InlineSource;
+  ReduceStats InlineStats;
   for (size_t I = 0; I != Sweep.size(); ++I) {
     ReducerOptions Opts;
     Opts.MaxCandidates = 4000;
     Opts.Exec = Sweep[I].Exec;
-    Opts.Pipeline = Sweep[I].Pipeline;
 
     ReduceStats Stats;
     auto Start = std::chrono::steady_clock::now();
@@ -125,31 +118,30 @@ int main(int Argc, char **Argv) {
         std::chrono::steady_clock::now() - Start;
 
     if (I == 0) {
-      SerialSecs = Elapsed.count();
-      SerialSource = Reduced.Source;
-      SerialStats = Stats;
+      InlineSecs = Elapsed.count();
+      InlineSource = Reduced.Source;
+      InlineStats = Stats;
     }
-    bool Identical = Reduced.Source == SerialSource &&
-                     Stats.CandidatesTried == SerialStats.CandidatesTried &&
-                     Stats.CandidatesKept == SerialStats.CandidatesKept &&
-                     Stats.Rounds == SerialStats.Rounds;
+    bool Identical = Reduced.Source == InlineSource &&
+                     Stats.CandidatesTried == InlineStats.CandidatesTried &&
+                     Stats.CandidatesKept == InlineStats.CandidatesKept &&
+                     Stats.Rounds == InlineStats.Rounds;
     std::printf("%-18s %10u %10u %12.3f %14.1f %9.2fx  %s\n",
                 Sweep[I].Name.c_str(), Stats.Rounds,
                 Stats.CandidatesTried, Elapsed.count(),
                 Stats.CandidatesTried / Elapsed.count(),
-                SerialSecs / Elapsed.count(),
-                Identical ? "identical to serial"
-                          : "MISMATCH vs serial");
+                InlineSecs / Elapsed.count(),
+                Identical ? "identical to inline"
+                          : "MISMATCH vs inline");
     if (!Identical)
       return 1;
   }
 
   std::printf("\nreduction: %u -> %u lines over %u rounds (%u kept, "
               "%u skipped, %u escalations)\n",
-              SerialStats.InitialLines, SerialStats.FinalLines,
-              SerialStats.Rounds, SerialStats.CandidatesKept,
-              SerialStats.CandidatesSkipped, SerialStats.Escalations);
-  std::printf("(speedup tracks physical core count; on a 1-core host "
-              "pipelining is the only win by construction)\n");
+              InlineStats.InitialLines, InlineStats.FinalLines,
+              InlineStats.Rounds, InlineStats.CandidatesKept,
+              InlineStats.CandidatesSkipped, InlineStats.Escalations);
+  std::printf("(speedup tracks physical core count)\n");
   return 0;
 }

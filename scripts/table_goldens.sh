@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Absolute goldens for the paper tables: Tables 1, 4 and 5 at small
 # sizes, a scheduled EMI campaign and a `clfuzz reduce` run (report
-# plus JSONL trace), each run on the inline, thread pool (4 workers)
+# plus JSONL trace, solo and as a scheduled reduce(...) campaign on the
+# shared backend), each run on the inline, thread pool (4 workers)
 # and process pool backends and diffed against the committed outputs
 # in scripts/goldens/. Cross-backend conformance
 # only shows that backends agree; these pin what they agree on, so a
@@ -52,6 +53,22 @@ check_reduce() {
     "$WORK/$Backend.reduce.trace"
 }
 
+# check_sched_reduce BACKEND-NAME SCHED-FLAGS...: the same reduction as
+# a scheduled campaign, its candidates batched on the shared backend,
+# must match the solo goldens byte for byte.
+check_sched_reduce() {
+  local Backend="$1"
+  shift
+  local Dir="$WORK/$Backend.sched-reduce"
+  echo "== sched reduce $Backend"
+  mkdir -p "$Dir"
+  "$BUILD/clfuzz" sched "$@" --out-dir="$Dir" \
+    --campaigns="reduce(name=r,mode=ALL,seed=39,config=14,opt,expect=wrong,trace=$Dir/r.trace)" \
+    > /dev/null
+  diff "$GOLDENS/reduce_all_seed39_config14.txt" "$Dir/r.txt"
+  diff "$GOLDENS/reduce_all_seed39_config14.trace.jsonl" "$Dir/r.trace"
+}
+
 # every_case BACKEND-NAME TABLE-FLAGS SCHED-FLAGS REDUCE-FLAGS (the flag
 # lists split)
 every_case() {
@@ -65,6 +82,7 @@ every_case() {
   check "sched emi $Backend" sched_emi_bases2.txt "$Backend" \
     "$BUILD/clfuzz" sched $SchedFlags --campaigns='emi(name=e,bases=2)'
   check_reduce "$Backend" $ReduceFlags
+  check_sched_reduce "$Backend" $SchedFlags
 }
 
 # The three backends run side by side, each logging to its own file;

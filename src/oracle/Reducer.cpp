@@ -15,7 +15,7 @@
 // and every decision (emission, skip, charge, accept) is made on the
 // calling thread from sequentially-updated state, so the reduction
 // sequence, the stats and the trace are bit-identical across
-// backends, worker counts and pipelining.
+// backends and worker counts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -395,6 +395,35 @@ struct RoundCtx {
   }
 };
 
+/// The probe jobs behind one candidate verdict: the §8 validation run
+/// (a clean, race-free reference run; skipped when the oracle's own
+/// probes already validate) followed by the oracle's jobs.
+struct ProbePlan {
+  const ReductionOracle &Oracle;
+  RunSettings Validate;
+  bool Validating;
+
+  ProbePlan(const ReductionOracle &Oracle, RunSettings Run)
+      : Oracle(Oracle), Validate(std::move(Run)),
+        Validating(!Oracle.selfValidates()) {
+    Validate.DetectRaces = true;
+  }
+
+  void expand(const TestCase &T, std::vector<ExecJob> &Jobs) const {
+    if (Validating)
+      Jobs.push_back(ExecJob::onReference(T, /*Opt=*/false, Validate));
+    Oracle.expandJobs(T, Jobs);
+  }
+
+  bool judge(const std::vector<RunOutcome> &Outs) const {
+    if (!Validating)
+      return Oracle.judge(Outs);
+    if (Outs.empty() || !Outs[0].ok() || Outs[0].RaceFound)
+      return false;
+    return Oracle.judge(std::vector<RunOutcome>(Outs.begin() + 1, Outs.end()));
+  }
+};
+
 /// A printed (but not yet filtered) candidate.
 struct PrintedCandidate {
   size_t Group = 0;
@@ -403,17 +432,16 @@ struct PrintedCandidate {
 
 /// Streams one round's candidates as TestCases in priority order.
 /// Printing a candidate (parse + mutate + sema + print) costs about as
-/// much as evaluating a small kernel, so when pipelining is on the
-/// next window is printed on a helper thread while the caller runs the
-/// current window's probe jobs on the backend; the prefetch reads only
-/// round-immutable state and is joined before its results are
-/// observed, so it never changes anything but wall-clock time.
+/// much as evaluating a small kernel, so the next window is printed on
+/// a helper thread while the caller runs the current window's probe
+/// jobs on the backend; the prefetch reads only round-immutable state
+/// and is joined before its results are observed, so it never changes
+/// anything but wall-clock time.
 class ReductionCandidateSource final : public TestSource {
 public:
-  ReductionCandidateSource(RoundCtx &Ctx, unsigned Window, bool Pipeline,
+  ReductionCandidateSource(RoundCtx &Ctx, unsigned Window,
                            unsigned EmitBudget)
-      : Ctx(Ctx), Window(std::max(Window, 1u)), Pipeline(Pipeline),
-        EmitLeft(EmitBudget) {}
+      : Ctx(Ctx), Window(std::max(Window, 1u)), EmitLeft(EmitBudget) {}
 
   std::vector<TestCase> next(unsigned MaxShard) override {
     std::vector<TestCase> Shard;
@@ -474,7 +502,7 @@ private:
     std::vector<PrintedCandidate> Out =
         Prefetch.valid() ? Prefetch.get() : printWindow(NextGroup, N);
     NextGroup += N;
-    if (Pipeline && NextGroup < Ctx.NumGroups) {
+    if (NextGroup < Ctx.NumGroups) {
       size_t Ahead = std::min<size_t>(Window, Ctx.NumGroups - NextGroup);
       Prefetch = std::async(std::launch::async,
                             [this, Begin = NextGroup, Ahead] {
@@ -486,7 +514,6 @@ private:
 
   RoundCtx &Ctx;
   unsigned Window;
-  bool Pipeline;
   unsigned EmitLeft;
   size_t NextGroup = 0;
   std::vector<PrintedCandidate> Carry; ///< printed, not yet filtered
@@ -500,13 +527,10 @@ private:
 /// observable sequence replays a serial run exactly.
 class ReductionAcceptSink final : public ResultSink {
 public:
-  using JudgeFn =
-      std::function<bool(const TestCase &, const std::vector<RunOutcome> &)>;
-
-  ReductionAcceptSink(RoundCtx &Ctx, const JudgeFn &Judge,
+  ReductionAcceptSink(RoundCtx &Ctx, const ProbePlan &Plan,
                       ClassHistory *History, unsigned MaxCandidates,
                       const ReduceTraceFn &Trace)
-      : Ctx(Ctx), Judge(Judge), History(History),
+      : Ctx(Ctx), Plan(Plan), History(History),
         MaxCandidates(MaxCandidates), Trace(Trace) {}
 
   void consumeTest(size_t Index, const TestCase &T,
@@ -517,7 +541,7 @@ public:
     ++Ctx.Stats.CandidatesTried;
     size_t Group = Ctx.EmittedGroup[Index];
 
-    if (!Judge(T, Outcomes)) {
+    if (!Plan.judge(Outcomes)) {
       Ctx.Rejected.insert(T.Source);
       chargeGroup(Group, /*LinesSaved=*/0.0);
       if (Trace) {
@@ -554,7 +578,7 @@ public:
 
 private:
   RoundCtx &Ctx;
-  const JudgeFn &Judge;
+  const ProbePlan &Plan;
   ClassHistory *History;
   unsigned MaxCandidates;
   const ReduceTraceFn &Trace;
@@ -564,12 +588,17 @@ private:
 // The reduction loop
 //===----------------------------------------------------------------------===//
 
-using ExpandFn =
-    std::function<void(const TestCase &, std::vector<ExecJob> &)>;
+/// Largest number of mutations escalation combines into one candidate
+/// (combo sizes double: 2, then 4).
+constexpr unsigned MaxCombo = 4;
 
-TestCase reduceImpl(const TestCase &Input, const ExpandFn &Expand,
-                    const ReductionAcceptSink::JudgeFn &Judge,
-                    const ReducerOptions &Opts, ReduceStats *Stats) {
+} // namespace
+
+TestCase clfuzz::reduceTest(const TestCase &Input,
+                            const ReductionOracle &Oracle,
+                            const ReducerOptions &Opts,
+                            ReduceStats *Stats) {
+  const ProbePlan Plan(Oracle, Opts.Run);
   TestCase Best = Input;
   ReduceStats Local;
   // Normalise the source through the printer (null statements
@@ -598,12 +627,7 @@ TestCase reduceImpl(const TestCase &Input, const ExpandFn &Expand,
     if (Opts.Trace) {
       ReduceTraceEvent E;
       E.K = ReduceTraceEvent::Kind::Finish;
-      E.Rounds = Local.Rounds;
-      E.Escalations = Local.Escalations;
-      E.Tried = Local.CandidatesTried;
-      E.Kept = Local.CandidatesKept;
-      E.Skipped = Local.CandidatesSkipped;
-      E.Lines = Local.FinalLines;
+      E.Totals = Local;
       Opts.Trace(E);
     }
     if (Stats)
@@ -616,7 +640,7 @@ TestCase reduceImpl(const TestCase &Input, const ExpandFn &Expand,
   // pool before any pipelining thread exists.
   {
     std::vector<ExecJob> Jobs;
-    Expand(Best, Jobs);
+    Plan.expand(Best, Jobs);
     // One test's cells: a single column, so the worker parses the
     // witness once for all its admissible cells.
     std::vector<ExecColumn> Cols = groupIntoColumns(Jobs);
@@ -626,7 +650,7 @@ TestCase reduceImpl(const TestCase &Input, const ExpandFn &Expand,
                   Cols, std::vector<unsigned>(Cols.size(),
                                               Opts.DispatchPriority))
             : Backend->runColumns(Cols);
-    bool Interesting = Judge(Best, Outs);
+    bool Interesting = Plan.judge(Outs);
     if (Opts.Trace) {
       ReduceTraceEvent E;
       E.K = ReduceTraceEvent::Kind::Witness;
@@ -648,9 +672,7 @@ TestCase reduceImpl(const TestCase &Input, const ExpandFn &Expand,
 
   ClassHistory History[NumMutationClasses];
   std::unordered_set<std::string> Rejected;
-  unsigned Stalls = 0;
   unsigned Combo = 1;
-  const unsigned MaxCombo = std::max(1u, Opts.MaxMultiMutations);
 
   while (Local.CandidatesTried < Opts.MaxCandidates) {
     ASTContext Ctx;
@@ -687,7 +709,7 @@ TestCase reduceImpl(const TestCase &Input, const ExpandFn &Expand,
       Opts.Trace(E);
     }
 
-    ReductionAcceptSink Sink(Round, Judge, History, Opts.MaxCandidates,
+    ReductionAcceptSink Sink(Round, Plan, History, Opts.MaxCandidates,
                              Opts.Trace);
     {
       // The source owns the pipelining prefetch; its destruction at
@@ -696,12 +718,11 @@ TestCase reduceImpl(const TestCase &Input, const ExpandFn &Expand,
       // Best.Source, which the prefetch reads - runs strictly after
       // the round's helper work finished.
       ReductionCandidateSource Source(
-          Round, Chunk, Opts.Pipeline,
-          Opts.MaxCandidates - Local.CandidatesTried);
+          Round, Chunk, Opts.MaxCandidates - Local.CandidatesTried);
       ShardedCampaignRun CandidateRun(
           Source, *Backend, Chunk,
-          [&](size_t, const TestCase &T, std::vector<ExecJob> &Jobs) {
-            Expand(T, Jobs);
+          [&Plan](size_t, const TestCase &T, std::vector<ExecJob> &Jobs) {
+            Plan.expand(T, Jobs);
           },
           Sink);
       while (CandidateRun.step(Opts.DispatchPriority))
@@ -728,83 +749,21 @@ TestCase reduceImpl(const TestCase &Input, const ExpandFn &Expand,
         Opts.Trace(E);
       }
       Combo = 1;
-      Stalls = 0;
       continue;
     }
 
     Local.CandidatesSkipped += Round.TrailingSkips;
 
     // A stalled round means every candidate at this combo size is
-    // known-rejected; escalate to joint mutations (2, 4, ...) before
+    // known-rejected; escalate to joint mutations (2, 4) before
     // concluding the witness is minimal.
-    if (++Stalls < std::max(1u, Opts.EscalateAfterStalls))
-      continue;
-    unsigned NextCombo = Combo == 1 ? 2 : Combo * 2;
-    if (NextCombo > MaxCombo)
+    if (Combo * 2 > MaxCombo)
       break;
-    Combo = NextCombo;
-    Stalls = 0;
+    Combo *= 2;
     ++Local.Escalations;
   }
 
   return Finish();
-}
-
-} // namespace
-
-TestCase clfuzz::reduceTest(const TestCase &Input,
-                            const ReductionOracle &Oracle,
-                            const ReducerOptions &Opts,
-                            ReduceStats *Stats) {
-  RunSettings Validate = Opts.Run;
-  Validate.DetectRaces = true;
-  const bool DoValidate =
-      Opts.ValidateOnReference && !Oracle.selfValidates();
-
-  ExpandFn Expand = [&Oracle, DoValidate,
-                     Validate](const TestCase &T,
-                               std::vector<ExecJob> &Jobs) {
-    if (DoValidate)
-      Jobs.push_back(ExecJob::onReference(T, /*Opt=*/false, Validate));
-    Oracle.expandJobs(T, Jobs);
-  };
-  ReductionAcceptSink::JudgeFn Judge =
-      [&Oracle, DoValidate](const TestCase &,
-                            const std::vector<RunOutcome> &Outs) {
-        size_t Off = 0;
-        if (DoValidate) {
-          if (Outs.empty() || !Outs[0].ok() || Outs[0].RaceFound)
-            return false;
-          Off = 1;
-        }
-        return Oracle.judge(std::vector<RunOutcome>(
-            Outs.begin() + Off, Outs.end()));
-      };
-  return reduceImpl(Input, Expand, Judge, Opts, Stats);
-}
-
-TestCase clfuzz::reduceTest(
-    const TestCase &Input,
-    const std::function<bool(const TestCase &)> &StillInteresting,
-    const ReducerOptions &Opts, ReduceStats *Stats) {
-  RunSettings Validate = Opts.Run;
-  Validate.DetectRaces = true;
-  const bool DoValidate = Opts.ValidateOnReference;
-
-  ExpandFn Expand = [DoValidate, Validate](const TestCase &T,
-                                           std::vector<ExecJob> &Jobs) {
-    if (DoValidate)
-      Jobs.push_back(ExecJob::onReference(T, /*Opt=*/false, Validate));
-  };
-  ReductionAcceptSink::JudgeFn Judge =
-      [&StillInteresting, DoValidate](const TestCase &T,
-                                      const std::vector<RunOutcome> &Outs) {
-        if (DoValidate &&
-            (Outs.empty() || !Outs[0].ok() || Outs[0].RaceFound))
-          return false;
-        return StillInteresting(T);
-      };
-  return reduceImpl(Input, Expand, Judge, Opts, Stats);
 }
 
 //===----------------------------------------------------------------------===//
@@ -837,8 +796,9 @@ std::string clfuzz::renderReduceTraceJsonl(const ReduceTraceEvent &E,
     appendJsonString(L, Tag);
     L += ",";
   }
+  // Every field after the event name is ",<key>:<value>".
   auto Field = [&L](const char *Key, unsigned long long V) {
-    L += "\"";
+    L += ",\"";
     L += Key;
     L += "\":";
     L += std::to_string(V);
@@ -847,48 +807,35 @@ std::string clfuzz::renderReduceTraceJsonl(const ReduceTraceEvent &E,
   case ReduceTraceEvent::Kind::Witness:
     L += "\"event\":\"witness\",\"interesting\":";
     L += E.Interesting ? "true" : "false";
-    L += ",";
     Field("lines", E.Lines);
     break;
   case ReduceTraceEvent::Kind::Round:
-    L += "\"event\":\"round\",";
+    L += "\"event\":\"round\"";
     Field("round", E.Round);
-    L += ",";
     Field("combo", E.Combo);
-    L += ",";
     Field("candidates", E.Enumerated);
-    L += ",";
     Field("lines", E.Lines);
     break;
   case ReduceTraceEvent::Kind::Reject:
   case ReduceTraceEvent::Kind::Accept:
-    L += E.K == ReduceTraceEvent::Kind::Accept ? "\"event\":\"accept\","
-                                               : "\"event\":\"reject\",";
+    L += E.K == ReduceTraceEvent::Kind::Accept ? "\"event\":\"accept\""
+                                               : "\"event\":\"reject\"";
     Field("round", E.Round);
-    L += ",";
     Field("candidate", E.Candidate);
     L += ",\"class\":";
     appendJsonString(L, E.MutationClass);
-    L += ",";
     Field("combo", E.Combo);
-    if (E.K == ReduceTraceEvent::Kind::Accept) {
-      L += ",";
+    if (E.K == ReduceTraceEvent::Kind::Accept)
       Field("lines", E.Lines);
-    }
     break;
   case ReduceTraceEvent::Kind::Finish:
-    L += "\"event\":\"done\",";
-    Field("rounds", E.Rounds);
-    L += ",";
-    Field("escalations", E.Escalations);
-    L += ",";
-    Field("tried", E.Tried);
-    L += ",";
-    Field("kept", E.Kept);
-    L += ",";
-    Field("skipped", E.Skipped);
-    L += ",";
-    Field("lines", E.Lines);
+    L += "\"event\":\"done\"";
+    Field("rounds", E.Totals.Rounds);
+    Field("escalations", E.Totals.Escalations);
+    Field("tried", E.Totals.CandidatesTried);
+    Field("kept", E.Totals.CandidatesKept);
+    Field("skipped", E.Totals.CandidatesSkipped);
+    Field("lines", E.Totals.FinalLines);
     break;
   }
   L += "}\n";

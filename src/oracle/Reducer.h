@@ -49,10 +49,10 @@
 
 namespace clfuzz {
 
-/// Declarative interestingness test, the backend-schedulable
-/// replacement for an opaque predicate closure: the oracle expands a
-/// candidate into probe jobs (which the reducer runs on its
-/// ExecBackend, fork-isolated under procs) and judges the outcomes.
+/// Declarative interestingness test, the only kind the reducer takes:
+/// the oracle expands a candidate into probe jobs (which the reducer
+/// runs on its ExecBackend, fork-isolated under procs) and judges the
+/// outcomes.
 /// judge() must be a pure function of the outcomes - it runs on the
 /// reducer's calling thread and its verdict, not the probe execution,
 /// is what the deterministic acceptance order hangs off.
@@ -122,9 +122,23 @@ private:
   RunSettings Run;
 };
 
+/// Statistics from one reduction.
+struct ReduceStats {
+  unsigned CandidatesTried = 0;   ///< evaluated through the backend
+  unsigned CandidatesKept = 0;
+  unsigned CandidatesSkipped = 0; ///< unprintable / duplicate / cached
+  unsigned Rounds = 0;
+  unsigned Escalations = 0;       ///< multi-mutation rounds entered
+  unsigned InitialLines = 0;
+  unsigned FinalLines = 0;
+  /// False when the input itself failed its interestingness probe (the
+  /// reduction returns the input unchanged).
+  bool WitnessWasInteresting = true;
+};
+
 /// One observable reduction event, emitted in deterministic
 /// (submission) order: trace streams are bit-identical across
-/// backends, worker counts and pipelining.
+/// backends and worker counts.
 struct ReduceTraceEvent {
   enum class Kind : uint8_t {
     Witness, ///< the input's own interestingness probe
@@ -139,10 +153,9 @@ struct ReduceTraceEvent {
   const char *MutationClass = ""; ///< Reject/Accept: first class in combo
   unsigned Combo = 1;              ///< mutations per candidate this round
   unsigned Enumerated = 0;         ///< Round: candidate groups this round
-  unsigned Lines = 0;              ///< current best's code lines
+  unsigned Lines = 0;              ///< Witness/Round/Accept: best's lines
   bool Interesting = false;        ///< Witness: probe verdict
-  unsigned Tried = 0, Kept = 0, Skipped = 0; ///< Finish totals
-  unsigned Rounds = 0, Escalations = 0;      ///< Finish totals
+  ReduceStats Totals;              ///< Finish: the reduction's stats
 };
 
 using ReduceTraceFn = std::function<void(const ReduceTraceEvent &)>;
@@ -156,7 +169,11 @@ std::string renderReduceTraceJsonl(const ReduceTraceEvent &E,
 /// Trace sink streaming JSONL lines to \p Out.
 ReduceTraceFn makeJsonlReduceTrace(std::FILE *Out, std::string Tag = {});
 
-/// Reducer tuning.
+/// Reducer tuning: budget, settings and scheduling. The search itself
+/// has no knobs: every candidate passes the §8 reference validation,
+/// one stalled round escalates to 2- then 4-mutation candidates, and
+/// the next chunk's candidates always print while the current chunk
+/// evaluates (which changes wall-clock time only).
 struct ReducerOptions {
   /// Upper bound on candidate evaluations (probe-job rounds actually
   /// submitted; cache-skipped candidates are free).
@@ -170,21 +187,6 @@ struct ReducerOptions {
   /// sequence (and the stats, and the trace) match a serial run
   /// exactly on every backend.
   ExecOptions Exec;
-  /// Require every candidate to stay a clean, race-free deterministic
-  /// kernel on the reference configuration (the §8 concurrency-aware
-  /// validation). On by default; costs one reference run per
-  /// candidate.
-  bool ValidateOnReference = true;
-  /// Overlap the next chunk's candidate enumeration/printing with the
-  /// current chunk's backend evaluation. Never changes results - only
-  /// wall-clock time (bench/reduction_throughput.cpp measures it).
-  bool Pipeline = true;
-  /// After this many consecutive single-mutation rounds without an
-  /// acceptance, escalate to multi-mutation candidates.
-  unsigned EscalateAfterStalls = 1;
-  /// Largest number of mutations combined into one candidate during
-  /// escalation (combo sizes double: 2, 4, ... up to this cap).
-  unsigned MaxMultiMutations = 4;
   /// When set, candidate probes run on this caller-owned backend and
   /// Exec only tunes shard size; when null (the default) the reducer
   /// builds its own backend from Exec. The campaign scheduler injects
@@ -204,36 +206,12 @@ struct ReducerOptions {
   ReduceTraceFn Trace;
 };
 
-/// Statistics from one reduction.
-struct ReduceStats {
-  unsigned CandidatesTried = 0;   ///< evaluated through the backend
-  unsigned CandidatesKept = 0;
-  unsigned CandidatesSkipped = 0; ///< unprintable / duplicate / cached
-  unsigned Rounds = 0;
-  unsigned Escalations = 0;       ///< multi-mutation rounds entered
-  unsigned InitialLines = 0;
-  unsigned FinalLines = 0;
-  /// False when the input itself failed its interestingness probe (the
-  /// reduction returns the input unchanged).
-  bool WitnessWasInteresting = true;
-};
-
 /// Shrinks \p Input while \p Oracle keeps judging candidates
 /// interesting and the candidate remains a valid deterministic kernel
 /// (see file comment). Returns the smallest interesting test found.
 /// The result, the stats and the trace are bit-identical for every
 /// ExecOptions::Backend and worker count.
 TestCase reduceTest(const TestCase &Input, const ReductionOracle &Oracle,
-                    const ReducerOptions &Opts, ReduceStats *Stats = nullptr);
-
-/// Closure-predicate compatibility form: probe jobs carry only the
-/// reference validation run; \p StillInteresting executes on the
-/// calling thread and must be a pure function of the candidate. Use
-/// the oracle form when the interestingness test itself should run
-/// under backend isolation.
-TestCase reduceTest(const TestCase &Input,
-                    const std::function<bool(const TestCase &)>
-                        &StillInteresting,
                     const ReducerOptions &Opts, ReduceStats *Stats = nullptr);
 
 } // namespace clfuzz

@@ -40,11 +40,6 @@ void ReductionQueue::submit(ReductionJob Job) {
   CV.notify_one();
 }
 
-size_t ReductionQueue::submitted() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Submitted;
-}
-
 bool ReductionQueue::hasPending() const {
   std::lock_guard<std::mutex> Lock(M);
   return !Pending.empty();
@@ -86,34 +81,36 @@ std::vector<ReductionResult> ReductionQueue::drain() {
   return Out;
 }
 
-void ReductionQueue::runJob(ReductionJob Job) {
+ReductionResult clfuzz::reduceAndTriage(
+    const TestCase &Witness, const ReductionOracle &Oracle,
+    const ReducerOptions &Opts, const std::optional<TriageRequest> &Triage,
+    bool TriageUninteresting) {
   ReductionResult R;
-  R.OrderKey = Job.OrderKey;
-  R.Label = Job.Label;
+  R.Reduced = reduceTest(Witness, Oracle, Opts, &R.Stats);
+  if (Triage && (R.Stats.WitnessWasInteresting || TriageUninteresting)) {
+    TriageOptions TO;
+    TO.Exec = Opts.Exec;
+    TO.Backend = Opts.Backend;
+    TO.DispatchPriority = Opts.DispatchPriority;
+    TO.Run = Opts.Run;
+    R.Triage = triageWitness(R.Reduced, Triage->Config, Triage->Opt, TO);
+  }
+  return R;
+}
 
+void ReductionQueue::runJob(ReductionJob Job) {
   // Each job reduces with its own backend (reduceTest builds one from
   // Opts.Exec) unless Opts.Backend injects a shared one — the
   // scheduler does that, and serializes jobs so the share is safe.
   ReducerOptions JobOpts = Opts;
+  std::string Trace;
   if (CaptureTrace)
-    JobOpts.Trace = [&R, &Job](const ReduceTraceEvent &E) {
-      R.Trace += renderReduceTraceJsonl(E, Job.Label);
+    JobOpts.Trace = [&Trace, &Job](const ReduceTraceEvent &E) {
+      Trace += renderReduceTraceJsonl(E, Job.Label);
     };
+  ReductionResult R;
   try {
-    R.Reduced = reduceTest(Job.Witness, *Job.Oracle, JobOpts, &R.Stats);
-    if (Job.Triage) {
-      // Bisection probes ride the job's own scheduling: same backend,
-      // same dispatch priority, same run settings as the reduction's
-      // candidate probes — cache- and remote-transparent by
-      // construction.
-      TriageOptions TO;
-      TO.Exec = JobOpts.Exec;
-      TO.Backend = JobOpts.Backend;
-      TO.DispatchPriority = JobOpts.DispatchPriority;
-      TO.Run = JobOpts.Run;
-      R.Triage = triageWitness(R.Reduced, Job.Triage->Config,
-                               Job.Triage->Opt, TO);
-    }
+    R = reduceAndTriage(Job.Witness, *Job.Oracle, JobOpts, Job.Triage);
   } catch (const std::exception &E) {
     // A reduction that dies (its backend failing to fork, or the
     // whole remote fleet unreachable) is one failed result, not a
@@ -126,6 +123,9 @@ void ReductionQueue::runJob(ReductionJob Job) {
     R.Reduced = std::move(Job.Witness);
     R.Error = "unknown reduction failure";
   }
+  R.OrderKey = Job.OrderKey;
+  R.Label = std::move(Job.Label);
+  R.Trace = std::move(Trace);
 
   {
     std::lock_guard<std::mutex> Lock(M);
@@ -137,15 +137,13 @@ void ReductionQueue::runJob(ReductionJob Job) {
 
 void ReductionQueue::workerLoop() {
   for (;;) {
-    ReductionJob Job;
     {
       std::unique_lock<std::mutex> Lock(M);
       CV.wait(Lock, [this] { return Stopping || !Pending.empty(); });
       if (Pending.empty())
         return; // Stopping, nothing left to do
-      Job = std::move(Pending.front());
-      Pending.pop_front();
     }
-    runJob(std::move(Job));
+    // Another worker may take the job first; then wait again.
+    runNextPending();
   }
 }

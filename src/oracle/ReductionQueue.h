@@ -97,6 +97,21 @@ struct ReductionResult {
   std::string Error;
 };
 
+/// The one reduce-then-triage sequence, run by every queued job and by
+/// the `reduce` and `triage` campaigns: shrinks \p Witness under
+/// \p Oracle with \p Opts, then, when \p Triage is set, bisects the
+/// reduced witness with probes riding the reduction's own scheduling —
+/// same backend, dispatch priority and run settings, so cache- and
+/// remote-transparent by construction. A witness the oracle rejects
+/// outright is triaged as it stands (the verdict says it does not
+/// reproduce) unless \p TriageUninteresting is false. Fills Reduced,
+/// Stats and Triage; exceptions propagate to the caller.
+ReductionResult reduceAndTriage(const TestCase &Witness,
+                                const ReductionOracle &Oracle,
+                                const ReducerOptions &Opts,
+                                const std::optional<TriageRequest> &Triage,
+                                bool TriageUninteresting = true);
+
 /// Pool of reduction workers fed from a FIFO — or, with Workers == 0,
 /// a passive store the campaign scheduler services.
 class ReductionQueue {
@@ -117,9 +132,6 @@ public:
   /// Enqueues a witness; returns immediately.
   void submit(ReductionJob Job);
 
-  /// Number of jobs submitted so far.
-  size_t submitted() const;
-
   /// True while at least one submitted job has not been picked up yet.
   bool hasPending() const;
 
@@ -129,8 +141,8 @@ public:
 
   /// Runs the oldest pending job to completion on the calling thread;
   /// returns false if nothing was pending. The scheduler's service
-  /// entry point in Workers == 0 mode; also safe (but unusual) beside
-  /// worker threads — the FIFO pop is atomic either way.
+  /// entry point in Workers == 0 mode and each worker thread's step —
+  /// the FIFO pop is atomic either way.
   bool runNextPending();
 
   /// Blocks until every submitted job finished. With Workers == 0 this

@@ -37,6 +37,20 @@ std::vector<DeviceConfig> aboveThresholdConfigs() {
   return Targets;
 }
 
+/// Opens a report side file ("-" = stderr); says so on stderr and
+/// returns null when \p Path cannot be opened.
+std::FILE *openSideFile(const std::string &Path, const char *What) {
+  std::FILE *F = Path == "-" ? stderr : std::fopen(Path.c_str(), "w");
+  if (!F)
+    std::fprintf(stderr, "cannot open %s '%s'\n", What, Path.c_str());
+  return F;
+}
+
+void closeSideFile(std::FILE *F) {
+  if (F && F != stderr)
+    std::fclose(F);
+}
+
 //===----------------------------------------------------------------------===//
 // diff
 //===----------------------------------------------------------------------===//
@@ -278,12 +292,8 @@ private:
     if (Spec.Triage)
       printTriageSummary(Reduced);
     if (!Spec.ReduceTracePath.empty()) {
-      std::FILE *F = Spec.ReduceTracePath == "-"
-                         ? stderr
-                         : std::fopen(Spec.ReduceTracePath.c_str(), "w");
+      std::FILE *F = openSideFile(Spec.ReduceTracePath, "trace file");
       if (!F) {
-        std::fprintf(stderr, "cannot open trace file '%s'\n",
-                     Spec.ReduceTracePath.c_str());
         ExitCodeV = 1;
         return;
       }
@@ -292,8 +302,7 @@ private:
       // jobs interleaved.
       for (const ReductionResult &R : Reduced)
         std::fwrite(R.Trace.data(), 1, R.Trace.size(), F);
-      if (F != stderr)
-        std::fclose(F);
+      closeSideFile(F);
     }
   }
 
@@ -321,12 +330,8 @@ private:
                    Keys.size(), Triaged);
     if (Spec.TriageOut.empty())
       return;
-    std::FILE *F = Spec.TriageOut == "-"
-                       ? stderr
-                       : std::fopen(Spec.TriageOut.c_str(), "w");
+    std::FILE *F = openSideFile(Spec.TriageOut, "triage report file");
     if (!F) {
-      std::fprintf(stderr, "cannot open triage report file '%s'\n",
-                   Spec.TriageOut.c_str());
       ExitCodeV = 1;
       return;
     }
@@ -341,8 +346,7 @@ private:
                     : renderTriageJsonl(R.Label, *R.Triage);
     }
     std::fwrite(Report.data(), 1, Report.size(), F);
-    if (F != stderr)
-      std::fclose(F);
+    closeSideFile(F);
   }
 
   HuntSpec Spec;
@@ -431,20 +435,65 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// reduce
+// reduce and triage
 //===----------------------------------------------------------------------===//
 
-/// One witness reduction as a campaign. The whole reduceTest runs in
-/// a single step: reduction rounds are internally sharded over the
-/// backend, but the fixpoint loop is not re-entrant, so the scheduler
-/// treats a reduce campaign as one coarse grant (queued hunt
-/// reductions behave the same way through the lane).
-class ReduceTask final : public CampaignTask {
+/// One witness reduced (and, for triage, then bisected) as a campaign.
+/// The whole job runs in a single step: reduction rounds and bisection
+/// probes are internally sharded over the backend, but neither loop is
+/// re-entrant, so the scheduler treats the campaign as one coarse grant
+/// (queued hunt reductions behave the same way through the lane).
+class WitnessTask : public CampaignTask {
+public:
+  bool done() const override { return Finished; }
+  size_t distinctWitnesses() const override { return Interesting ? 1 : 0; }
+  size_t testsDone() const override { return Finished ? 1 : 0; }
+  size_t jobsDone() const override { return JobsRun; }
+  int exitCode() const override { return ExitCodeV; }
+
+protected:
+  /// Generates the witness of \p Gen and runs reduceAndTriage on it.
+  /// A witness \p Oracle rejects outright is neither reduced nor
+  /// triaged: that is reported on stderr ("does not \p Fails on config
+  /// \p Cell"), the exit code becomes 1 and the result is empty.
+  std::optional<ReductionResult>
+  reduceWitness(const GenOptions &Gen, const ReductionOracle &Oracle,
+                const ReducerOptions &Opts,
+                const std::optional<TriageRequest> &Triage,
+                const std::string &Cell, const char *Fails) {
+    ReductionResult R =
+        reduceAndTriage(TestCase::fromGenerated(generateKernel(Gen)),
+                        Oracle, Opts, Triage, /*TriageUninteresting=*/false);
+    JobsRun = R.Stats.CandidatesTried;
+    if (!R.Stats.WitnessWasInteresting) {
+      std::fprintf(stderr,
+                   "witness is not interesting: seed %llu does not %s on "
+                   "config %s\n",
+                   static_cast<unsigned long long>(Gen.Seed), Fails,
+                   Cell.c_str());
+      ExitCodeV = 1;
+      return std::nullopt;
+    }
+    Interesting = true;
+    if (R.Triage)
+      JobsRun += R.Triage->Probes;
+    return R;
+  }
+
+  static std::string cellName(const DeviceConfig &Config, bool Opt) {
+    return std::to_string(Config.Id) + (Opt ? "+" : "-");
+  }
+
+  bool Finished = false;
+  bool Interesting = false;
+  size_t JobsRun = 0;
+  int ExitCodeV = 0;
+};
+
+class ReduceTask final : public WitnessTask {
 public:
   ReduceTask(ReduceSpec Spec, std::FILE *Out)
       : Spec(std::move(Spec)), Out(Out) {}
-
-  bool done() const override { return Finished; }
 
   void step() override {
     Finished = true;
@@ -455,55 +504,35 @@ public:
     if (Spec.Expect == "wrong")
       Oracle = std::make_unique<DifferentialReductionOracle>(Config,
                                                              Spec.Opt);
-    else if (Spec.Expect == "crash")
-      Oracle = std::make_unique<StatusReductionOracle>(Config, Spec.Opt,
-                                                       RunStatus::Crash);
-    else if (Spec.Expect == "timeout")
-      Oracle = std::make_unique<StatusReductionOracle>(
-          Config, Spec.Opt, RunStatus::Timeout);
     else
       Oracle = std::make_unique<StatusReductionOracle>(
-          Config, Spec.Opt, RunStatus::BuildFailure);
+          Config, Spec.Opt,
+          Spec.Expect == "crash"     ? RunStatus::Crash
+          : Spec.Expect == "timeout" ? RunStatus::Timeout
+                                     : RunStatus::BuildFailure);
 
     ReducerOptions RO = Spec.Opts;
     std::FILE *TraceFile = nullptr;
     if (!Spec.TracePath.empty()) {
-      TraceFile = Spec.TracePath == "-"
-                      ? stderr
-                      : std::fopen(Spec.TracePath.c_str(), "w");
+      TraceFile = openSideFile(Spec.TracePath, "trace file");
       if (!TraceFile) {
-        std::fprintf(stderr, "cannot open trace file '%s'\n",
-                     Spec.TracePath.c_str());
         ExitCodeV = 2;
         return;
       }
       RO.Trace = makeJsonlReduceTrace(TraceFile);
     }
 
-    TestCase T = TestCase::fromGenerated(generateKernel(Spec.Gen));
-    ReduceStats Stats;
-    TestCase Reduced = reduceTest(T, *Oracle, RO, &Stats);
-    if (TraceFile && TraceFile != stderr)
-      std::fclose(TraceFile);
-    CandidatesTried = Stats.CandidatesTried;
-
-    std::string Cell =
-        std::to_string(Config.Id) + (Spec.Opt ? "+" : "-");
-    if (!Stats.WitnessWasInteresting) {
-      std::fprintf(stderr,
-                   "witness is not interesting: seed %llu does not %s on "
-                   "config %s\n",
-                   static_cast<unsigned long long>(Spec.Gen.Seed),
-                   Spec.Expect == "wrong" ? "miscompile"
-                                          : Spec.Expect.c_str(),
-                   Cell.c_str());
-      ExitCodeV = 1;
+    std::string Cell = cellName(Config, Spec.Opt);
+    std::optional<ReductionResult> R = reduceWitness(
+        Spec.Gen, *Oracle, RO, std::nullopt, Cell,
+        Spec.Expect == "wrong" ? "miscompile" : Spec.Expect.c_str());
+    closeSideFile(TraceFile);
+    if (!R)
       return;
-    }
-    Interesting = true;
 
     // The report is deliberately backend-silent: `reduce` output is
     // byte-identical across backends and worker counts.
+    const ReduceStats &Stats = R->Stats;
     std::fprintf(Out, "// reduced witness: seed %llu, config %s, %s\n",
                  static_cast<unsigned long long>(Spec.Gen.Seed),
                  Cell.c_str(), Spec.Expect.c_str());
@@ -514,38 +543,20 @@ public:
                  Stats.CandidatesTried, Stats.CandidatesKept,
                  Stats.CandidatesSkipped, Stats.Rounds,
                  Stats.Escalations);
-    std::fprintf(Out, "%s", Reduced.Source.c_str());
+    std::fprintf(Out, "%s", R->Reduced.Source.c_str());
   }
-
-  size_t distinctWitnesses() const override { return Interesting ? 1 : 0; }
-  size_t testsDone() const override { return Finished ? 1 : 0; }
-  size_t jobsDone() const override { return CandidatesTried; }
-  int exitCode() const override { return ExitCodeV; }
 
 private:
   ReduceSpec Spec;
   std::FILE *Out;
-  bool Finished = false;
-  bool Interesting = false;
-  size_t CandidatesTried = 0;
-  int ExitCodeV = 0;
 };
 
-//===----------------------------------------------------------------------===//
-// triage
-//===----------------------------------------------------------------------===//
-
-/// One witness reduced then bisected, as a campaign. Like ReduceTask
-/// the whole job is one coarse step (the reducer's fixpoint loop and
-/// the bisection's greedy loop are both internally sharded but not
-/// re-entrant). Triage is wrong-code-only: the bisection oracle is
-/// output divergence against the reference.
-class TriageTask final : public CampaignTask {
+/// Triage is wrong-code-only: the bisection oracle is output
+/// divergence against the reference.
+class TriageTask final : public WitnessTask {
 public:
   TriageTask(TriageSpec Spec, std::FILE *Out)
       : Spec(std::move(Spec)), Out(Out) {}
-
-  bool done() const override { return Finished; }
 
   void step() override {
     Finished = true;
@@ -553,33 +564,13 @@ public:
     const DeviceConfig &Config = configById(Zoo, Spec.ConfigId);
     DifferentialReductionOracle Oracle(Config, Spec.Opt);
 
-    TestCase T = TestCase::fromGenerated(generateKernel(Spec.Gen));
-    ReduceStats Stats;
-    TestCase Reduced = reduceTest(T, Oracle, Spec.Opts, &Stats);
-    CandidatesTried = Stats.CandidatesTried;
-
-    std::string Cell =
-        std::to_string(Config.Id) + (Spec.Opt ? "+" : "-");
-    if (!Stats.WitnessWasInteresting) {
-      std::fprintf(stderr,
-                   "witness is not interesting: seed %llu does not "
-                   "miscompile on config %s\n",
-                   static_cast<unsigned long long>(Spec.Gen.Seed),
-                   Cell.c_str());
-      ExitCodeV = 1;
+    std::string Cell = cellName(Config, Spec.Opt);
+    std::optional<ReductionResult> Result =
+        reduceWitness(Spec.Gen, Oracle, Spec.Opts,
+                      TriageRequest{Config, Spec.Opt}, Cell, "miscompile");
+    if (!Result)
       return;
-    }
-    Interesting = true;
-
-    // Probes ride the reducer's scheduling verbatim: same backend
-    // (shared under the scheduler), same priority, same settings.
-    TriageOptions TO;
-    TO.Exec = Spec.Opts.Exec;
-    TO.Backend = Spec.Opts.Backend;
-    TO.DispatchPriority = Spec.Opts.DispatchPriority;
-    TO.Run = Spec.Opts.Run;
-    TriageResult R = triageWitness(Reduced, Config, Spec.Opt, TO);
-    Probes = R.Probes;
+    const TriageResult &R = *Result->Triage;
     // One witness: its cluster (if any) is first-seen by definition.
     bump(Counter::TriageClusters, R.ClusterKey.empty() ? 0 : 1);
 
@@ -601,26 +592,16 @@ public:
                  static_cast<unsigned long long>(Spec.Gen.Seed),
                  Cell.c_str());
     std::fprintf(Out, "// lines %u -> %u; %u candidates tried\n",
-                 Stats.InitialLines, Stats.FinalLines,
-                 Stats.CandidatesTried);
-    std::fprintf(Out, "%s", Reduced.Source.c_str());
+                 Result->Stats.InitialLines, Result->Stats.FinalLines,
+                 Result->Stats.CandidatesTried);
+    std::fprintf(Out, "%s", Result->Reduced.Source.c_str());
     std::fprintf(Out, "%s: %s\n", Label.c_str(),
                  renderTriageLine(R).c_str());
   }
 
-  size_t distinctWitnesses() const override { return Interesting ? 1 : 0; }
-  size_t testsDone() const override { return Finished ? 1 : 0; }
-  size_t jobsDone() const override { return CandidatesTried + Probes; }
-  int exitCode() const override { return ExitCodeV; }
-
 private:
   TriageSpec Spec;
   std::FILE *Out;
-  bool Finished = false;
-  bool Interesting = false;
-  size_t CandidatesTried = 0;
-  unsigned Probes = 0;
-  int ExitCodeV = 0;
 };
 
 } // namespace

@@ -89,29 +89,28 @@ struct EmiSpec {
   uint64_t SeedBase = 100000;
 };
 
-/// `clfuzz reduce`: shrink one witness kernel.
-struct ReduceSpec {
+/// One generated witness and the configuration it misbehaves on, as
+/// `reduce` and `triage` take it.
+struct WitnessSpec {
   GenOptions Gen;
   int ConfigId = 0;
   bool Opt = false;
+  /// Candidate/probe evaluation tuning; set Opts.Backend to evaluate
+  /// on a shared (scheduler-owned) backend. Backend and
+  /// DispatchPriority flow through to triage's bisection probes.
+  ReducerOptions Opts;
+};
+
+/// `clfuzz reduce`: shrink one witness kernel.
+struct ReduceSpec : WitnessSpec {
   /// "wrong", "crash", "timeout" or "build-failure".
   std::string Expect = "wrong";
-  /// Candidate evaluation tuning; set Opts.Backend to evaluate on a
-  /// shared (scheduler-owned) backend.
-  ReducerOptions Opts;
   std::string TracePath; ///< JSONL trace ("" = none, "-" = stderr)
 };
 
 /// `clfuzz triage`: reduce one wrong-code witness, then bisect the
 /// optimisation pipeline and derive its cluster key (src/triage/).
-struct TriageSpec {
-  GenOptions Gen;
-  int ConfigId = 0;
-  bool Opt = false;
-  /// Candidate/probe evaluation tuning; Opts.Backend (shared,
-  /// scheduler-owned) and Opts.DispatchPriority flow through to the
-  /// bisection probes unchanged.
-  ReducerOptions Opts;
+struct TriageSpec : WitnessSpec {
   /// "text", "csv" or "jsonl".
   std::string Format = "text";
 };

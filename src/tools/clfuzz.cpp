@@ -109,6 +109,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -116,19 +117,33 @@ using namespace clfuzz;
 
 namespace {
 
+/// A rejected flag or campaign parameter: main prints it as
+/// "clfuzz <command>: <message>" and exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 struct CliArgs {
   std::string Command;
   std::map<std::string, std::string> Options;
+  /// Every key looked up so far: `sched` rejects a declaration
+  /// parameter its spec builder never read.
+  mutable std::set<std::string> Read;
 
-  bool has(const std::string &Key) const { return Options.count(Key); }
+  bool has(const std::string &Key) const {
+    Read.insert(Key);
+    return Options.count(Key);
+  }
   std::string get(const std::string &Key,
                   const std::string &Default = "") const {
+    Read.insert(Key);
     auto It = Options.find(Key);
     return It == Options.end() ? Default : It->second;
   }
   /// A numeric option: the whole value must be a decimal integer that
   /// fits in uint64_t, otherwise std::invalid_argument names the flag.
   uint64_t getInt(const std::string &Key, uint64_t Default) const {
+    Read.insert(Key);
     auto It = Options.find(Key);
     if (It == Options.end())
       return Default;
@@ -266,6 +281,18 @@ std::string triageFormatFrom(const CliArgs &A) {
   return Format;
 }
 
+/// Parses backend flag \p Key into \p Kind when given; an unknown name
+/// exits 1 with "unknown <What> '<name>'".
+void backendFrom(const CliArgs &A, const std::string &Key, const char *What,
+                 BackendKind &Kind) {
+  if (A.has(Key) && !parseBackendKind(A.get(Key), Kind)) {
+    std::fprintf(stderr,
+                 "unknown %s '%s' (use inline, threads, procs or remote)\n",
+                 What, A.get(Key).c_str());
+    std::exit(1);
+  }
+}
+
 /// Copies the remote-fleet options into \p Opts and validates that a
 /// remote backend actually has workers to dial. \p WorkersKey lets
 /// `hunt --reduce` keep separate fleets for the campaign
@@ -374,14 +401,7 @@ ExecOptions execOptionsFrom(const CliArgs &A) {
       static_cast<unsigned>(A.getInt("exec-threads", 1)));
   Opts.ShardSize =
       static_cast<unsigned>(A.getInt("shard-size", Opts.ShardSize));
-  if (A.has("backend") &&
-      !parseBackendKind(A.get("backend"), Opts.Backend)) {
-    std::fprintf(
-        stderr,
-        "unknown backend '%s' (use inline, threads, procs or remote)\n",
-        A.get("backend").c_str());
-    std::exit(1);
-  }
+  backendFrom(A, "backend", "backend", Opts.Backend);
   applyRemoteOptions(A, Opts, "workers");
   applyCacheOptions(A, Opts);
   if (A.has("fleet-listen")) {
@@ -419,11 +439,97 @@ std::unique_ptr<ExecBackend> makeBackendOrDie(const ExecOptions &Opts) {
   }
 }
 
-int cmdDiff(const CliArgs &A) {
+//===----------------------------------------------------------------------===//
+// Campaign specs: one builder per campaign kind, shared by the solo
+// command and `clfuzz sched`'s declarations (whose parameters are the
+// solo flags). Each validates its flags once and throws UsageError.
+//===----------------------------------------------------------------------===//
+
+DiffSpec diffSpecFrom(const CliArgs &A) {
   DiffSpec Spec;
   // Validate the report format before any cell runs.
   Spec.Format = reportFormatFrom(A);
   Spec.Gen = genOptionsFrom(A);
+  return Spec;
+}
+
+HuntSpec huntSpecFrom(const CliArgs &A) {
+  HuntSpec Spec;
+  Spec.ModeName = A.get("mode", "ALL");
+  Spec.Mode = modeByName(Spec.ModeName);
+  Spec.Seed = A.getInt("seed", 1);
+  Spec.Count = static_cast<unsigned>(A.getInt("count", 20));
+  Spec.Format = reportFormatFrom(A);
+  Spec.Reduce = A.has("reduce");
+  // Read whether or not the hunt reduces, like reduce-trace=.
+  Spec.ReduceOpts.MaxCandidates = static_cast<unsigned>(
+      A.getInt("reduce-max", Spec.ReduceOpts.MaxCandidates));
+  Spec.ReduceTracePath = A.get("reduce-trace");
+  Spec.Triage = A.has("triage");
+  if (Spec.Triage && !Spec.Reduce)
+    throw UsageError("--triage bisects *reduced* witnesses and needs "
+                     "--reduce (add --reduce, or use `clfuzz triage` for a "
+                     "single witness)");
+  Spec.TriageOut = A.get("triage-out");
+  Spec.TriageFormat = triageFormatFrom(A);
+  return Spec;
+}
+
+/// The part `reduce` and `triage` share: the witness and its budget.
+void witnessSpecFrom(const CliArgs &A, WitnessSpec &Spec) {
+  if (!A.has("config"))
+    throw UsageError("--config=ID is required (the configuration the "
+                     "witness misbehaves on)");
+  Spec.ConfigId = static_cast<int>(A.getInt("config", 0));
+  Spec.Gen = genOptionsFrom(A);
+  Spec.Opt = A.has("opt");
+  Spec.Opts.MaxCandidates = static_cast<unsigned>(
+      A.getInt("reduce-max", Spec.Opts.MaxCandidates));
+}
+
+ReduceSpec reduceSpecFrom(const CliArgs &A) {
+  ReduceSpec Spec;
+  witnessSpecFrom(A, Spec);
+  Spec.Expect = A.get("expect", "wrong");
+  if (Spec.Expect != "wrong" && Spec.Expect != "crash" &&
+      Spec.Expect != "timeout" && Spec.Expect != "build-failure")
+    throw UsageError("unknown --expect '" + Spec.Expect +
+                     "' (use wrong, crash, timeout or build-failure)");
+  Spec.TracePath = A.get("trace");
+  return Spec;
+}
+
+TriageSpec triageSpecFrom(const CliArgs &A) {
+  TriageSpec Spec;
+  witnessSpecFrom(A, Spec);
+  Spec.Format = reportFormatFrom(A);
+  return Spec;
+}
+
+/// Where a solo command evaluates reduction candidates:
+/// --reduce-backend picks the backend, --reduce-jobs the worker count
+/// (for `reduce`/`triage`: speculative candidate evaluators; `hunt`
+/// resets it to 1 per background reduction). \p BuildCache is false
+/// when the caller supplies a shared cache of its own (`hunt` hands
+/// its campaign cache to the reduction queue).
+ExecOptions reduceExecFrom(const CliArgs &A, bool BuildCache = true) {
+  ExecOptions Exec = ExecOptions::withThreads(
+      static_cast<unsigned>(A.getInt("reduce-jobs", 1)));
+  backendFrom(A, "reduce-backend", "reduce backend", Exec.Backend);
+  // --reduce-backend=remote farms candidate probes to the worker
+  // fleet too; it reuses --workers unless --reduce-workers names a
+  // dedicated one.
+  applyRemoteOptions(A, Exec, "reduce-workers");
+  // The descriptor-level cache subsumes the reducer's printed-form
+  // cache across rounds: a re-probed candidate (crash and timeout
+  // outcomes included) is answered without a fork.
+  if (BuildCache)
+    applyCacheOptions(A, Exec);
+  return Exec;
+}
+
+int cmdDiff(const CliArgs &A) {
+  DiffSpec Spec = diffSpecFrom(A);
   ExecOptions Opts = execOptionsFrom(A);
   std::unique_ptr<ExecBackend> Backend = makeBackendOrDie(Opts);
   // The task code is shared with `clfuzz sched`: a diff campaign
@@ -434,67 +540,11 @@ int cmdDiff(const CliArgs &A) {
   return Task->exitCode();
 }
 
-namespace {
-
-/// Reduction scheduling options shared by `reduce` and
-/// `hunt --reduce`: --reduce-backend picks the candidate-evaluation
-/// backend, --reduce-jobs the worker count (for `reduce`: speculative
-/// candidate evaluators; for `hunt`: concurrent background
-/// reductions), --reduce-max the candidate budget. \p BuildCache is
-/// false when the caller supplies a shared cache of its own (`hunt`
-/// hands its campaign cache to the reduction queue).
-ReducerOptions reducerOptionsFrom(const CliArgs &A,
-                                  bool BuildCache = true) {
-  ReducerOptions RO;
-  RO.Exec = ExecOptions::withThreads(
-      static_cast<unsigned>(A.getInt("reduce-jobs", 1)));
-  if (A.has("reduce-backend") &&
-      !parseBackendKind(A.get("reduce-backend"), RO.Exec.Backend)) {
-    std::fprintf(stderr,
-                 "unknown reduce backend '%s' (use inline, threads, "
-                 "procs or remote)\n",
-                 A.get("reduce-backend").c_str());
-    std::exit(1);
-  }
-  // --reduce-backend=remote farms candidate probes to the worker
-  // fleet too; it reuses --workers unless --reduce-workers names a
-  // dedicated one.
-  applyRemoteOptions(A, RO.Exec, "reduce-workers");
-  // The descriptor-level cache subsumes the reducer's printed-form
-  // cache across rounds: a re-probed candidate (crash and timeout
-  // outcomes included) is answered without a fork.
-  if (BuildCache)
-    applyCacheOptions(A, RO.Exec);
-  RO.MaxCandidates = static_cast<unsigned>(
-      A.getInt("reduce-max", RO.MaxCandidates));
-  if (A.has("no-pipeline"))
-    RO.Pipeline = false;
-  return RO;
-}
-
 int cmdReduce(const CliArgs &A) {
-  if (!A.has("config")) {
-    std::fprintf(stderr, "reduce: --config=ID is required (the "
-                         "configuration the witness misbehaves on)\n");
-    return 2;
-  }
-  ReduceSpec Spec;
-  Spec.Expect = A.get("expect", "wrong");
-  if (Spec.Expect != "wrong" && Spec.Expect != "crash" &&
-      Spec.Expect != "timeout" && Spec.Expect != "build-failure") {
-    std::fprintf(stderr,
-                 "unknown --expect '%s' (use wrong, crash, timeout or "
-                 "build-failure)\n",
-                 Spec.Expect.c_str());
-    return 2;
-  }
-  Spec.Gen = genOptionsFrom(A);
-  Spec.ConfigId = static_cast<int>(A.getInt("config", 0));
-  Spec.Opt = A.has("opt");
-  Spec.Opts = reducerOptionsFrom(A);
-  Spec.TracePath = A.get("trace");
-  // The task code is shared with `clfuzz sched` (which additionally
-  // points Spec.Opts.Backend at its shared backend); the report is
+  ReduceSpec Spec = reduceSpecFrom(A);
+  Spec.Opts.Exec = reduceExecFrom(A);
+  // The task code is shared with `clfuzz sched` (which points
+  // Spec.Opts.Backend at its shared backend instead); the report is
   // deliberately backend-silent, byte-identical across
   // --reduce-backend and --reduce-jobs.
   std::unique_ptr<CampaignTask> Task = makeReduceTask(Spec, stdout);
@@ -510,17 +560,8 @@ int cmdReduce(const CliArgs &A) {
 /// (--reduce-backend/--reduce-jobs), so the report is byte-identical
 /// across backends, worker counts and cache states.
 int cmdTriage(const CliArgs &A) {
-  if (!A.has("config")) {
-    std::fprintf(stderr, "triage: --config=ID is required (the "
-                         "configuration the witness misbehaves on)\n");
-    return 2;
-  }
-  TriageSpec Spec;
-  Spec.Gen = genOptionsFrom(A);
-  Spec.ConfigId = static_cast<int>(A.getInt("config", 0));
-  Spec.Opt = A.has("opt");
-  Spec.Opts = reducerOptionsFrom(A);
-  Spec.Format = reportFormatFrom(A);
+  TriageSpec Spec = triageSpecFrom(A);
+  Spec.Opts.Exec = reduceExecFrom(A);
   // The task code is shared with `clfuzz sched` (which points
   // Spec.Opts.Backend at its shared backend instead).
   std::unique_ptr<CampaignTask> Task = makeTriageTask(Spec, stdout);
@@ -529,28 +570,8 @@ int cmdTriage(const CliArgs &A) {
   return Task->exitCode();
 }
 
-} // namespace
-
 int cmdHunt(const CliArgs &A) {
-  HuntSpec Spec;
-  Spec.ModeName = A.get("mode", "ALL");
-  Spec.Mode = modeByName(Spec.ModeName);
-  Spec.Seed = A.getInt("seed", 1);
-  Spec.Count = static_cast<unsigned>(A.getInt("count", 20));
-  Spec.Format = reportFormatFrom(A);
-  Spec.Reduce = A.has("reduce");
-  Spec.ReduceTracePath = A.get("reduce-trace");
-  Spec.Triage = A.has("triage");
-  if (Spec.Triage && !Spec.Reduce) {
-    std::fprintf(stderr,
-                 "hunt: --triage bisects *reduced* witnesses and needs "
-                 "--reduce (add --reduce, or use `clfuzz triage` for a "
-                 "single witness)\n");
-    return 2;
-  }
-  Spec.TriageOut = A.get("triage-out");
-  Spec.TriageFormat = triageFormatFrom(A);
-
+  HuntSpec Spec = huntSpecFrom(A);
   ExecOptions Opts = execOptionsFrom(A);
   std::unique_ptr<ExecBackend> Backend = makeBackendOrDie(Opts);
 
@@ -559,13 +580,13 @@ int cmdHunt(const CliArgs &A) {
   // the hunt never stalls on a reduction. --reduce-jobs concurrent
   // reductions, each evaluating candidates on --reduce-backend.
   if (Spec.Reduce) {
-    ReducerOptions RO = reducerOptionsFrom(A, /*BuildCache=*/false);
-    RO.Exec.Threads = 1; // within one background job, evaluate serially
+    Spec.ReduceOpts.Exec = reduceExecFrom(A, /*BuildCache=*/false);
+    // Within one background job, evaluate serially.
+    Spec.ReduceOpts.Exec.Threads = 1;
     // Campaign and background reductions share one cache: every
     // witness's probes start from the outcomes the hunt already paid
     // for, and the --stats counters cover both.
-    RO.Exec.Cache = Opts.Cache;
-    Spec.ReduceOpts = RO;
+    Spec.ReduceOpts.Exec.Cache = Opts.Cache;
     // Solo hunts drain reductions on background threads — at least
     // one (ReduceWorkers == 0 means the scheduler-driven lane, and
     // there is no scheduler here to service it).
@@ -662,118 +683,58 @@ int cmdSched(const CliArgs &A) {
   std::vector<std::unique_ptr<CampaignTask>> Tasks;
   for (size_t I = 0; I != Decls.size(); ++I) {
     const CampaignDecl &D = Decls[I];
-    // Declaration params reuse the solo flag names, so the spec
-    // builders below mirror cmdDiff/cmdHunt/cmdReduce exactly.
+    // Declaration params are the solo flags, read by the solo
+    // commands' spec builders; name= is the scheduler's own.
     CliArgs Sub;
     Sub.Command = D.Type;
     Sub.Options = D.Params;
+    Sub.Options.erase("name");
     std::FILE *Out = Files[I];
-    unsigned ShardSize = static_cast<unsigned>(
-        Sub.getInt("shard-size", Opts.resolvedShardSize()));
-    if (D.Type == "diff") {
-      DiffSpec Spec;
-      Spec.Format = reportFormatFrom(Sub);
-      Spec.Gen = genOptionsFrom(Sub);
-      Tasks.push_back(makeDiffTask(Spec, *Backend, Out));
-      Sched.add(D.Name, *Tasks.back());
-    } else if (D.Type == "hunt") {
-      HuntSpec Spec;
-      Spec.ModeName = Sub.get("mode", "ALL");
-      Spec.Mode = modeByName(Spec.ModeName);
-      Spec.Seed = Sub.getInt("seed", 1);
-      Spec.Count = static_cast<unsigned>(Sub.getInt("count", 20));
-      Spec.Format = reportFormatFrom(Sub);
-      Spec.Reduce = Sub.has("reduce");
-      Spec.ReduceTracePath = Sub.get("reduce-trace");
-      Spec.Triage = Sub.has("triage");
-      if (Spec.Triage && !Spec.Reduce) {
-        std::fprintf(stderr,
-                     "sched: campaign '%s': triage needs reduce (it "
-                     "bisects *reduced* witnesses)\n",
-                     D.Name.c_str());
-        return 2;
-      }
-      Spec.TriageOut = Sub.get("triage-out");
-      Spec.TriageFormat = triageFormatFrom(Sub);
-      if (Spec.Reduce) {
-        // Scheduler-driven reduction: witnesses queue up and the
-        // Reduction-lane task drains them through the SHARED backend
-        // at elevated dispatch priority — no private threads, no
-        // private backend.
+    CampaignTask *Lane = nullptr; // a reducing hunt's reduction lane
+    try {
+      unsigned ShardSize = static_cast<unsigned>(
+          Sub.getInt("shard-size", Opts.resolvedShardSize()));
+      if (D.Type == "diff") {
+        Tasks.push_back(makeDiffTask(diffSpecFrom(Sub), *Backend, Out));
+      } else if (D.Type == "hunt") {
+        // Scheduler-driven reduction (ReduceWorkers stays 0):
+        // witnesses queue up and the Reduction-lane task drains them
+        // through the SHARED backend at elevated dispatch priority —
+        // no private threads, no private backend.
+        HuntSpec Spec = huntSpecFrom(Sub);
         Spec.ReduceOpts.Backend = Backend.get();
         Spec.ReduceOpts.DispatchPriority = 1;
-        Spec.ReduceOpts.Exec.Threads = 1;
-        Spec.ReduceOpts.MaxCandidates = static_cast<unsigned>(Sub.getInt(
-            "reduce-max", Spec.ReduceOpts.MaxCandidates));
-        if (Sub.has("no-pipeline"))
-          Spec.ReduceOpts.Pipeline = false;
-        Spec.ReduceWorkers = 0;
+        HuntCampaign C = makeHuntCampaign(Spec, ShardSize, *Backend, Out);
+        Lane = C.Lane.get();
+        Tasks.push_back(std::move(C.Main));
+        Hunts.push_back(std::move(C));
+      } else if (D.Type == "emi") {
+        EmiSpec Spec;
+        Spec.Bases = static_cast<unsigned>(Sub.getInt("bases", Spec.Bases));
+        Spec.MinBlocks =
+            static_cast<unsigned>(Sub.getInt("min-blocks", Spec.MinBlocks));
+        Spec.MaxBlocks =
+            static_cast<unsigned>(Sub.getInt("max-blocks", Spec.MaxBlocks));
+        Spec.SeedBase = Sub.getInt("seed", Spec.SeedBase);
+        Tasks.push_back(makeEmiTask(Spec, ShardSize, *Backend, Out));
+      } else if (D.Type == "triage") {
+        TriageSpec Spec = triageSpecFrom(Sub);
+        Spec.Opts.Backend = Backend.get();
+        Tasks.push_back(makeTriageTask(Spec, Out));
+      } else { // "reduce" — parseCampaignSpec validated the type
+        ReduceSpec Spec = reduceSpecFrom(Sub);
+        Spec.Opts.Backend = Backend.get();
+        Tasks.push_back(makeReduceTask(Spec, Out));
       }
-      HuntCampaign C = makeHuntCampaign(Spec, ShardSize, *Backend, Out);
-      Sched.add(D.Name, *C.Main);
-      if (C.Lane)
-        Sched.add(D.Name + "/reduce", *C.Lane);
-      Hunts.push_back(std::move(C));
-    } else if (D.Type == "emi") {
-      EmiSpec Spec;
-      Spec.Bases = static_cast<unsigned>(Sub.getInt("bases", Spec.Bases));
-      Spec.MinBlocks =
-          static_cast<unsigned>(Sub.getInt("min-blocks", Spec.MinBlocks));
-      Spec.MaxBlocks =
-          static_cast<unsigned>(Sub.getInt("max-blocks", Spec.MaxBlocks));
-      Spec.SeedBase = Sub.getInt("seed", Spec.SeedBase);
-      Tasks.push_back(makeEmiTask(Spec, ShardSize, *Backend, Out));
-      Sched.add(D.Name, *Tasks.back());
-    } else if (D.Type == "triage") {
-      if (!Sub.has("config")) {
-        std::fprintf(stderr,
-                     "sched: campaign '%s': config=ID is required\n",
-                     D.Name.c_str());
-        return 2;
-      }
-      TriageSpec Spec;
-      Spec.Gen = genOptionsFrom(Sub);
-      Spec.ConfigId = static_cast<int>(Sub.getInt("config", 0));
-      Spec.Opt = Sub.has("opt");
-      Spec.Format = reportFormatFrom(Sub);
-      Spec.Opts.Backend = Backend.get();
-      Spec.Opts.Exec.Threads = 1;
-      Spec.Opts.MaxCandidates = static_cast<unsigned>(
-          Sub.getInt("reduce-max", Spec.Opts.MaxCandidates));
-      if (Sub.has("no-pipeline"))
-        Spec.Opts.Pipeline = false;
-      Tasks.push_back(makeTriageTask(Spec, Out));
-      Sched.add(D.Name, *Tasks.back());
-    } else { // "reduce" — parseCampaignSpec validated the type
-      if (!Sub.has("config")) {
-        std::fprintf(stderr,
-                     "sched: campaign '%s': config=ID is required\n",
-                     D.Name.c_str());
-        return 2;
-      }
-      ReduceSpec Spec;
-      Spec.Expect = Sub.get("expect", "wrong");
-      if (Spec.Expect != "wrong" && Spec.Expect != "crash" &&
-          Spec.Expect != "timeout" && Spec.Expect != "build-failure") {
-        std::fprintf(stderr,
-                     "sched: campaign '%s': unknown expect '%s' (use "
-                     "wrong, crash, timeout or build-failure)\n",
-                     D.Name.c_str(), Spec.Expect.c_str());
-        return 2;
-      }
-      Spec.Gen = genOptionsFrom(Sub);
-      Spec.ConfigId = static_cast<int>(Sub.getInt("config", 0));
-      Spec.Opt = Sub.has("opt");
-      Spec.TracePath = Sub.get("trace");
-      Spec.Opts.Backend = Backend.get();
-      Spec.Opts.Exec.Threads = 1;
-      Spec.Opts.MaxCandidates = static_cast<unsigned>(
-          Sub.getInt("reduce-max", Spec.Opts.MaxCandidates));
-      if (Sub.has("no-pipeline"))
-        Spec.Opts.Pipeline = false;
-      Tasks.push_back(makeReduceTask(Spec, Out));
-      Sched.add(D.Name, *Tasks.back());
+      for (const auto &Param : Sub.Options)
+        if (!Sub.Read.count(Param.first))
+          throw UsageError("unknown parameter '" + Param.first + "'");
+    } catch (const UsageError &E) {
+      throw UsageError("campaign '" + D.Name + "': " + E.what());
     }
+    Sched.add(D.Name, *Tasks.back());
+    if (Lane)
+      Sched.add(D.Name + "/reduce", *Lane);
   }
 
   Sched.runToCompletion();
@@ -888,10 +849,10 @@ int usage() {
       "  coalesced on stderr\n"
       "reduce: --expect=wrong|crash|timeout|build-failure\n"
       "  --reduce-backend=inline|threads|procs|remote --reduce-jobs=N\n"
-      "  --reduce-max=N --trace=FILE --no-pipeline\n"
+      "  --reduce-max=N --trace=FILE\n"
       "hunt --reduce: shrink witnesses in the background (--reduce-backend,\n"
       "  --reduce-jobs=N concurrent reductions, --reduce-max=N,\n"
-      "  --reduce-trace=FILE, --no-pipeline; remote probes use\n"
+      "  --reduce-trace=FILE; remote probes use\n"
       "  --reduce-workers or --workers)\n"
       "triage (and hunt --reduce --triage): bisect each reduced witness\n"
       "  over the optimization pass pipeline for the minimal faulty pass\n"
@@ -903,7 +864,8 @@ int usage() {
       "  backends, worker counts and cache states\n"
       "sched: --campaigns='type(key=val,flag,...);...' with types hunt,\n"
       "  diff, emi, reduce, triage; keys mirror the solo flags (e.g.\n"
-      "  hunt(mode=BASIC,count=50,reduce); name=ID labels a campaign);\n"
+      "  hunt(mode=BASIC,count=50,reduce); name=ID labels a campaign;\n"
+      "  an unknown key is an error);\n"
       "  --sched-policy=rr|yield (--yield-window=N --yield-boost=N)\n"
       "  --out-dir=DIR per-campaign report files (default: buffered and\n"
       "  replayed to stdout); reductions run in a priority lane on the\n"
@@ -973,6 +935,9 @@ int main(int Argc, char **Argv) {
       return cmdWorker(A);
     if (A.Command == "configs")
       return cmdConfigs();
+  } catch (const UsageError &E) {
+    std::fprintf(stderr, "clfuzz %s: %s\n", A.Command.c_str(), E.what());
+    return 2;
   } catch (const std::exception &E) {
     std::fprintf(stderr, "clfuzz %s: %s\n", A.Command.c_str(), E.what());
     return 1;

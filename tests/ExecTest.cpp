@@ -269,21 +269,16 @@ TEST(ExecDeterminismTest, ReducerThreadCountInvariant) {
   Out.IsOutput = true;
   T.Buffers.push_back(Out);
 
-  auto StillInteresting = [&](const TestCase &Candidate) {
-    RunOutcome R = runTestOnReference(Candidate, false);
-    RunOutcome B = runTestOnConfig(Candidate, Oclgrind, false);
-    return R.ok() && B.ok() && R.OutputHash != B.OutputHash;
-  };
-
+  DifferentialReductionOracle Oracle(Oclgrind, /*Opt=*/false);
   ReducerOptions Opts;
   Opts.Exec.Threads = 1;
   ReduceStats SerialStats;
-  TestCase SerialBest = reduceTest(T, StillInteresting, Opts, &SerialStats);
+  TestCase SerialBest = reduceTest(T, Oracle, Opts, &SerialStats);
 
   for (unsigned Threads : {2u, 8u}) {
     Opts.Exec.Threads = Threads;
     ReduceStats Stats;
-    TestCase Best = reduceTest(T, StillInteresting, Opts, &Stats);
+    TestCase Best = reduceTest(T, Oracle, Opts, &Stats);
     EXPECT_EQ(Best.Source, SerialBest.Source)
         << "thread count " << Threads;
     EXPECT_EQ(Stats.CandidatesTried, SerialStats.CandidatesTried);

@@ -9,7 +9,7 @@
 // contract: the backend choice is unobservable in results. This suite
 // pins that the reduced source, every stat, and the full JSONL trace
 // are bit-identical across inline / threads(1,2,8) / procs at any
-// worker count, with pipelining on or off - plus the properties only
+// worker count - plus the properties only
 // the reducer provides: crashy-witness reduction to completion under
 // process isolation, multi-mutation escalation when single steps
 // stall, and the dead-work cache that skips duplicate candidates.
@@ -90,12 +90,10 @@ struct ReductionRun {
 
 ReductionRun runReduction(const TestCase &Witness,
                           const ReductionOracle &Oracle, ExecOptions Exec,
-                          bool Pipeline = true,
                           unsigned MaxCandidates = 400) {
   ReductionRun R;
   ReducerOptions Opts;
   Opts.Exec = Exec;
-  Opts.Pipeline = Pipeline;
   Opts.MaxCandidates = MaxCandidates;
   Opts.Trace = [&R](const ReduceTraceEvent &E) {
     R.Trace += renderReduceTraceJsonl(E);
@@ -117,10 +115,34 @@ void expectSameRun(const ReductionRun &A, const ReductionRun &B,
   EXPECT_EQ(A.Trace, B.Trace) << Ctx;
 }
 
+/// A search-layer test oracle over the candidate's source text. The
+/// predicate runs when the candidate expands (on the calling thread)
+/// and its verdict travels as the probe count: a rejected candidate
+/// gets one reference probe, a kept one none, so the reducer's own §8
+/// validation is the only run that decides anything else.
+class SourceOracle final : public ReductionOracle {
+public:
+  explicit SourceOracle(std::function<bool(const std::string &)> Keep)
+      : Keep(std::move(Keep)) {}
+
+  void expandJobs(const TestCase &Candidate,
+                  std::vector<ExecJob> &Jobs) const override {
+    if (!Keep(Candidate.Source))
+      Jobs.push_back(
+          ExecJob::onReference(Candidate, /*Opt=*/false, RunSettings()));
+  }
+  bool judge(const std::vector<RunOutcome> &Outcomes) const override {
+    return Outcomes.empty();
+  }
+
+private:
+  std::function<bool(const std::string &)> Keep;
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Bit-identity across backends, worker counts and pipelining
+// Bit-identity across backends and worker counts
 //===----------------------------------------------------------------------===//
 
 TEST(ReducerConformanceTest, ReductionIdenticalOnAllBackends) {
@@ -137,13 +159,9 @@ TEST(ReducerConformanceTest, ReductionIdenticalOnAllBackends) {
   EXPECT_NE(Reference.Reduced.Source.find("x, 1"), std::string::npos)
       << Reference.Reduced.Source;
 
-  for (const ExecOptions &Opts : reducerMatrix()) {
+  for (const ExecOptions &Opts : reducerMatrix())
     expectSameRun(Reference, runReduction(Witness, Oracle, Opts),
                   describe(Opts));
-    expectSameRun(Reference,
-                  runReduction(Witness, Oracle, Opts, /*Pipeline=*/false),
-                  describe(Opts) + "/no-pipeline");
-  }
 }
 
 TEST(ReducerConformanceTest, CandidateBudgetInvariantAcrossBackends) {
@@ -158,13 +176,12 @@ TEST(ReducerConformanceTest, CandidateBudgetInvariantAcrossBackends) {
   ReductionRun Reference =
       runReduction(Witness, Oracle,
                    ExecOptions::withBackend(BackendKind::Inline),
-                   /*Pipeline=*/true, /*MaxCandidates=*/7);
+                   /*MaxCandidates=*/7);
   EXPECT_LE(Reference.Stats.CandidatesTried, 7u);
 
   for (const ExecOptions &Opts : reducerMatrix())
     expectSameRun(Reference,
-                  runReduction(Witness, Oracle, Opts, /*Pipeline=*/true,
-                               /*MaxCandidates=*/7),
+                  runReduction(Witness, Oracle, Opts, /*MaxCandidates=*/7),
                   describe(Opts) + "/budget7");
 }
 
@@ -223,11 +240,11 @@ TEST(ReducerConformanceTest, EscalatesToMultiMutationCandidates) {
                             "  int noiseB = 2;\n"
                             "  out[get_global_id(0)] = 7uL;\n"
                             "}\n");
-  auto BothOrNeither = [](const TestCase &C) {
-    bool HasA = C.Source.find("noiseA") != std::string::npos;
-    bool HasB = C.Source.find("noiseB") != std::string::npos;
+  SourceOracle BothOrNeither([](const std::string &S) {
+    bool HasA = S.find("noiseA") != std::string::npos;
+    bool HasB = S.find("noiseB") != std::string::npos;
     return HasA == HasB;
-  };
+  });
 
   ReducerOptions Opts;
   ReduceStats Stats;
@@ -257,9 +274,8 @@ TEST(ReducerConformanceTest, SkipsDuplicateCandidates) {
       ++N;
     return N;
   };
-  auto KeepsBothPads = [&](const TestCase &C) {
-    return CountPads(C.Source) >= 2;
-  };
+  SourceOracle KeepsBothPads(
+      [&](const std::string &S) { return CountPads(S) >= 2; });
 
   ReducerOptions Opts;
   ReduceStats Stats;
@@ -310,7 +326,7 @@ TEST(ReducerConformanceTest, UninterestingWitnessIsReturnedUnchanged) {
       "boring witness", "kernel void k(global ulong *out) {\n"
                         "  out[get_global_id(0)] = 1uL;\n"
                         "}\n");
-  auto Never = [](const TestCase &) { return false; };
+  SourceOracle Never([](const std::string &) { return false; });
   ReducerOptions Opts;
   ReduceStats Stats;
   TestCase Out = reduceTest(Witness, Never, Opts, &Stats);

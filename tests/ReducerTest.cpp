@@ -40,6 +40,14 @@ TestCase paddedCommaBugKernel() {
   return T;
 }
 
+/// Judges every candidate interesting, so the reducer's own §8
+/// reference validation is the only thing that can reject one.
+class AlwaysInteresting final : public ReductionOracle {
+public:
+  void expandJobs(const TestCase &, std::vector<ExecJob> &) const override {}
+  bool judge(const std::vector<RunOutcome> &) const override { return true; }
+};
+
 } // namespace
 
 TEST(ReducerTest, ShrinksCommaBugWitness) {
@@ -53,20 +61,18 @@ TEST(ReducerTest, ShrinksCommaBugWitness) {
   ASSERT_TRUE(Ref.ok() && Buggy.ok());
   ASSERT_NE(Ref.OutputHash, Buggy.OutputHash);
 
-  auto StillInteresting = [&](const TestCase &Candidate) {
-    RunOutcome R = runTestOnReference(Candidate, false);
-    RunOutcome B = runTestOnConfig(Candidate, Oclgrind, false);
-    return R.ok() && B.ok() && R.OutputHash != B.OutputHash;
-  };
-
+  DifferentialReductionOracle Oracle(Oclgrind, /*Opt=*/false);
   ReducerOptions Opts;
   ReduceStats Stats;
-  TestCase Reduced = reduceTest(Input, StillInteresting, Opts, &Stats);
+  TestCase Reduced = reduceTest(Input, Oracle, Opts, &Stats);
 
   EXPECT_LT(Stats.FinalLines, Stats.InitialLines);
   EXPECT_GT(Stats.CandidatesKept, 0u);
   // The witness must still be interesting after reduction.
-  EXPECT_TRUE(StillInteresting(Reduced)) << Reduced.Source;
+  RunOutcome R = runTestOnReference(Reduced, false);
+  RunOutcome B = runTestOnConfig(Reduced, Oclgrind, false);
+  EXPECT_TRUE(R.ok() && B.ok() && R.OutputHash != B.OutputHash)
+      << Reduced.Source;
   // The noise should be gone; the comma must remain.
   EXPECT_EQ(Reduced.Source.find("helper"), std::string::npos)
       << Reduced.Source;
@@ -76,47 +82,14 @@ TEST(ReducerTest, ShrinksCommaBugWitness) {
       << Reduced.Source;
 }
 
-TEST(ReducerTest, OracleFormMatchesClosureForm) {
-  // The backend-schedulable DifferentialReductionOracle expresses the
-  // canonical "still miscompiles" predicate as probe jobs; it must
-  // walk the identical reduction sequence as the closure form of the
-  // same predicate.
-  std::vector<DeviceConfig> Registry = buildConfigRegistry();
-  const DeviceConfig &Oclgrind = configById(Registry, 19);
-  TestCase Input = paddedCommaBugKernel();
-
-  auto StillInteresting = [&](const TestCase &Candidate) {
-    RunOutcome R = runTestOnReference(Candidate, false);
-    RunOutcome B = runTestOnConfig(Candidate, Oclgrind, false);
-    return R.ok() && B.ok() && R.OutputHash != B.OutputHash;
-  };
-
-  ReducerOptions Opts;
-  ReduceStats ClosureStats, OracleStats;
-  TestCase ViaClosure =
-      reduceTest(Input, StillInteresting, Opts, &ClosureStats);
-  DifferentialReductionOracle Oracle(Oclgrind, /*Opt=*/false);
-  TestCase ViaOracle = reduceTest(Input, Oracle, Opts, &OracleStats);
-
-  EXPECT_EQ(ViaClosure.Source, ViaOracle.Source);
-  EXPECT_EQ(ClosureStats.CandidatesTried, OracleStats.CandidatesTried);
-  EXPECT_EQ(ClosureStats.CandidatesKept, OracleStats.CandidatesKept);
-  EXPECT_EQ(ClosureStats.FinalLines, OracleStats.FinalLines);
-}
-
 TEST(ReducerTest, RespectsCandidateBudget) {
   std::vector<DeviceConfig> Registry = buildConfigRegistry();
-  const DeviceConfig &Oclgrind = configById(Registry, 19);
-  TestCase Input = paddedCommaBugKernel();
-  auto StillInteresting = [&](const TestCase &Candidate) {
-    RunOutcome R = runTestOnReference(Candidate, false);
-    RunOutcome B = runTestOnConfig(Candidate, Oclgrind, false);
-    return R.ok() && B.ok() && R.OutputHash != B.OutputHash;
-  };
+  DifferentialReductionOracle Oracle(configById(Registry, 19),
+                                     /*Opt=*/false);
   ReducerOptions Opts;
   Opts.MaxCandidates = 3;
   ReduceStats Stats;
-  reduceTest(Input, StillInteresting, Opts, &Stats);
+  reduceTest(paddedCommaBugKernel(), Oracle, Opts, &Stats);
   EXPECT_LE(Stats.CandidatesTried, 3u);
 }
 
@@ -139,9 +112,9 @@ TEST(ReducerTest, KeepsRaceFreedom) {
   Out.IsOutput = true;
   T.Buffers.push_back(Out);
 
-  auto AlwaysInteresting = [](const TestCase &) { return true; };
+  AlwaysInteresting Oracle;
   ReducerOptions Opts;
-  TestCase Reduced = reduceTest(T, AlwaysInteresting, Opts);
+  TestCase Reduced = reduceTest(T, Oracle, Opts);
   // The barrier must survive if the local accesses do; deleting only
   // the barrier would race.
   bool HasLocalWrite =
