@@ -33,6 +33,7 @@
 #include "BenchUtil.h"
 #include "device/DeviceConfig.h"
 #include "gen/Generator.h"
+#include "oracle/Reducer.h"
 #include "triage/Triage.h"
 
 #include <chrono>
@@ -148,7 +149,7 @@ int main(int Argc, char **Argv) {
 
   for (const char *Name : {"uncached", "cold", "warm"}) {
     bool Uncached = std::string(Name) == "uncached";
-    TriageOptions TO;
+    ReducerOptions TO;
     TO.Exec = Uncached ? Plain : Cached;
     OutcomeCacheStats Before = Cache->stats();
 

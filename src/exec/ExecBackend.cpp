@@ -133,61 +133,11 @@ ExecBackend::~ExecBackend() = default;
 std::vector<RunOutcome>
 ExecBackend::runColumns(const std::vector<ExecColumn> &Columns) {
   // Flatten-and-delegate default: correct for every backend, used
-  // as-is by the caching wrapper (per-cell cache keys) and the remote
-  // backend (per-job wire protocol).
+  // as-is by the caching wrapper (per-cell cache keys).
   std::vector<ExecJob> Flat;
   for (const ExecColumn &Col : Columns)
     Flat.insert(Flat.end(), Col.Jobs.begin(), Col.Jobs.end());
   return run(Flat);
-}
-
-std::vector<RunOutcome>
-ExecBackend::runColumnsPrioritized(const std::vector<ExecColumn> &Columns,
-                                   const std::vector<unsigned> &Priorities) {
-  assert(Priorities.size() == Columns.size() &&
-         "one priority per column");
-  // Fast path: uniform priorities permute to the identity.
-  bool Uniform = true;
-  for (size_t I = 1; I < Priorities.size(); ++I)
-    if (Priorities[I] != Priorities[0]) {
-      Uniform = false;
-      break;
-    }
-  if (Uniform)
-    return runColumns(Columns);
-
-  // Dispatch permutation: stable-sort column indices by priority
-  // descending, so equal-priority columns keep submission order and
-  // the permutation is a pure function of (Priorities) — deterministic
-  // across runs and backends.
-  std::vector<size_t> Order(Columns.size());
-  for (size_t I = 0; I != Order.size(); ++I)
-    Order[I] = I;
-  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
-    return Priorities[A] > Priorities[B];
-  });
-
-  std::vector<ExecColumn> Permuted;
-  Permuted.reserve(Columns.size());
-  for (size_t I : Order)
-    Permuted.push_back(Columns[I]);
-  std::vector<RunOutcome> PermutedOut = runColumns(Permuted);
-
-  // Scatter outcomes back to submission order: compute each original
-  // column's flat offset, then copy its slice out of the permuted
-  // result vector.
-  std::vector<size_t> FlatStart(Columns.size() + 1, 0);
-  for (size_t I = 0; I != Columns.size(); ++I)
-    FlatStart[I + 1] = FlatStart[I] + Columns[I].Jobs.size();
-  std::vector<RunOutcome> Results(FlatStart.back());
-  size_t Cursor = 0;
-  for (size_t I : Order) {
-    size_t N = Columns[I].Jobs.size();
-    for (size_t J = 0; J != N; ++J)
-      Results[FlatStart[I] + J] = std::move(PermutedOut[Cursor + J]);
-    Cursor += N;
-  }
-  return Results;
 }
 
 void ExecBackend::forEachIndex(size_t N,

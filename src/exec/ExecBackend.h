@@ -33,13 +33,16 @@
 ///    from a shared queue. Fast, but a job that crashes the process
 ///    takes the campaign with it.
 ///  * ProcessPoolBackend (exec/ProcessPool.h) — forked worker
-///    subprocesses fed serialized job descriptors; a VM crash or a
+///    subprocesses fed column frames over pipes; a VM crash or a
 ///    runaway timeout kills one worker, is recorded as that job's
 ///    outcome, and the campaign keeps going.
-///  * RemoteBackend (exec/RemoteBackend.h) — the same job descriptors
-///    framed over TCP (exec/WireProtocol.h) to `clfuzz worker`
-///    processes on any number of machines; worker death requeues its
-///    in-flight jobs and results reassemble by submission index.
+///  * RemoteBackend (exec/RemoteBackend.h) — the same column frames
+///    over TCP to `clfuzz worker` processes on any number of machines;
+///    worker death requeues its unanswered cells and results
+///    reassemble by submission index.
+///
+/// The two out-of-process backends share one dispatch loop, one frame
+/// codec and one failure rule (exec/Dispatch.h, exec/WireProtocol.h).
 ///
 /// When ExecOptions::Cache is set, makeBackend() wraps the chosen
 /// implementation in the content-addressed outcome cache
@@ -228,30 +231,14 @@ public:
   /// implementation — the bit-identity contract hangs off this.
   virtual std::vector<RunOutcome> run(const std::vector<ExecJob> &Jobs) = 0;
 
-  /// Runs a batch of campaign columns (ExecColumn above): the flattened outcome vector matches a run() over
-  /// the flattened job list byte for byte. Backends that can keep a
-  /// column on one worker override this to amortise the front end
-  /// across the column's cells; the default flattens and delegates to
-  /// run(), which is also what the caching wrapper does (cache keys
-  /// stay per-cell) and what the remote backend inherits (its wire
-  /// protocol stays per-job).
+  /// Runs a batch of campaign columns (ExecColumn above): the
+  /// flattened outcome vector matches a run() over the flattened job
+  /// list byte for byte. Backends that can keep a column on one worker
+  /// override this to amortise the front end across the column's
+  /// cells; the default flattens and delegates to run(), which is what
+  /// the caching wrapper does (cache keys stay per-cell).
   virtual std::vector<RunOutcome>
   runColumns(const std::vector<ExecColumn> &Columns);
-
-  /// Runs a batch of columns with per-column dispatch priorities
-  /// (higher first). The scheduler uses this as its soft-preemption
-  /// hook: columns belonging to a higher-priority campaign lane (e.g.
-  /// reductions) enter the backend's in-flight window before the rest
-  /// of the shard, so under a saturated fleet they claim slots first —
-  /// but every column still runs, and the returned outcome vector is
-  /// re-keyed to the *submission* column order, byte-identical to
-  /// runColumns(Columns) for any priority assignment. Priorities never
-  /// enter job descriptors: cache keys and the wire format are
-  /// untouched. Non-virtual by design — the permutation layer sits on
-  /// top of whichever runColumns() the concrete backend provides.
-  std::vector<RunOutcome>
-  runColumnsPrioritized(const std::vector<ExecColumn> &Columns,
-                        const std::vector<unsigned> &Priorities);
 
   /// Runs \p Body(I) for every I in [0, N) *in this process*. Sources
   /// use this for generation-side work (building TestCases, EMI

@@ -74,6 +74,13 @@ double WireReader::f64() {
   return V;
 }
 
+uint32_t WireReader::count() {
+  uint32_t N = u32();
+  if (static_cast<size_t>(End - P) < N)
+    throw std::runtime_error("element count overruns its frame");
+  return N;
+}
+
 std::string WireReader::str() {
   uint32_t N = u32();
   need(N);
@@ -187,7 +194,7 @@ DeviceConfig readConfig(WireReader &R) {
   C.BugsO2 = readBugModel(R);
   C.NoOptimizer = R.u8();
   C.Salt = R.u64();
-  uint32_t NumIce = R.u32();
+  uint32_t NumIce = R.count();
   C.IceMessages.reserve(NumIce);
   for (uint32_t I = 0; I != NumIce; ++I)
     C.IceMessages.push_back(R.str());
@@ -219,7 +226,7 @@ TestCase readTest(WireReader &R) {
     T.Range.Global[D] = R.u32();
   for (int D = 0; D != 3; ++D)
     T.Range.Local[D] = R.u32();
-  uint32_t NumBuffers = R.u32();
+  uint32_t NumBuffers = R.count();
   T.Buffers.reserve(NumBuffers);
   for (uint32_t I = 0; I != NumBuffers; ++I) {
     BufferSpec B;
@@ -313,7 +320,7 @@ void clfuzz::serializeExecColumn(WireWriter &W, const ExecColumn &Column) {
 OwnedExecColumn clfuzz::deserializeExecColumn(WireReader &R) {
   OwnedExecColumn Col;
   Col.Test = readTest(R);
-  uint32_t N = R.u32();
+  uint32_t N = R.count();
   Col.Cells.reserve(N);
   for (uint32_t I = 0; I != N; ++I) {
     OwnedExecColumn::Cell C;
@@ -355,7 +362,7 @@ RunOutcome clfuzz::deserializeRunOutcome(WireReader &R) {
   O.Status = static_cast<RunStatus>(R.u8());
   O.Message = R.str();
   O.OutputHash = R.u64();
-  uint32_t HeadLen = R.u32();
+  uint32_t HeadLen = R.count();
   O.OutputHead.reserve(HeadLen);
   for (uint32_t I = 0; I != HeadLen; ++I)
     O.OutputHead.push_back(R.u64());

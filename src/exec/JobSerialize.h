@@ -7,17 +7,17 @@
 ///
 /// \file
 /// Binary serialization of ExecJob descriptors and RunOutcomes for the
-/// process-pool backend. A job descriptor is fully self-contained: the
-/// test case by value, the device configuration by value (bug models
-/// and all) and the run settings — so a worker subprocess re-derives
-/// exactly the same deterministic streams (generator seeds, scheduler
-/// seeds, lottery salts) the in-process backends use, and every
-/// backend produces bit-identical tables.
+/// out-of-process backends. A job descriptor is fully self-contained:
+/// the test case by value, the device configuration by value (bug
+/// models and all) and the run settings — so a worker subprocess or a
+/// remote worker re-derives exactly the same deterministic streams
+/// (generator seeds, scheduler seeds, lottery salts) the in-process
+/// backends use, and every backend produces bit-identical tables.
 ///
-/// The format is a private little-endian framing between a campaign
-/// process and workers forked from the *same binary*; it carries no
-/// version negotiation and must never be written to disk bare. The
-/// outcome cache (exec/OutcomeCache.h) does persist descriptor bytes,
+/// These payloads carry no version of their own: they travel inside
+/// the versioned frames of exec/WireProtocol.h, and must never be
+/// written to disk bare. The outcome cache (exec/OutcomeCache.h) does
+/// persist descriptor bytes,
 /// but only inside its own magic-tagged, versioned, checksummed
 /// envelope — a format change there bumps OutcomeCache::FormatVersion
 /// and invalidates every stored entry.
@@ -65,6 +65,10 @@ public:
   double f64();
   std::string str();
   std::vector<uint8_t> bytes();
+  /// A u32 element count, checked against the bytes left (every
+  /// element takes at least one), so a hostile count throws instead
+  /// of reserving memory the frame cannot fill.
+  uint32_t count();
   bool atEnd() const { return P == End; }
 
 private:
@@ -105,7 +109,7 @@ struct OwnedExecColumn {
   ExecColumn view() const;
 };
 
-/// Column framing for the process-pool backend: the test case once,
+/// Payload of the wire `column` frame: the test case once,
 /// then one (config, opt, settings) record per cell — the whole point
 /// of shipping a column instead of N jobs. This is transport framing
 /// only; descriptor identity (descriptorBytes / hashDescriptor) stays

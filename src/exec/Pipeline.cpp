@@ -21,7 +21,7 @@ ShardedCampaignRun::ShardedCampaignRun(
       ShardSize(std::max(ShardSize, 1u)), ExpandJobs(std::move(ExpandJobs)),
       Sink(Sink), Progress(std::move(Progress)) {}
 
-bool ShardedCampaignRun::step(unsigned DispatchPriority) {
+bool ShardedCampaignRun::step() {
   if (Done)
     return false;
 
@@ -48,17 +48,9 @@ bool ShardedCampaignRun::step(unsigned DispatchPriority) {
   // ExpandJobs call per test), so the whole configuration column of
   // each kernel reaches the backend as one unit: backends that can
   // parse the kernel once per column do, and the outcome vector is
-  // byte-identical to a per-cell run() either way. A nonzero dispatch
-  // priority only reorders the backend's in-flight window; the
-  // outcome vector is re-keyed to submission order regardless.
-  std::vector<ExecColumn> Columns = groupIntoColumns(Jobs);
-  std::vector<RunOutcome> Outcomes;
-  if (DispatchPriority != 0) {
-    std::vector<unsigned> Priorities(Columns.size(), DispatchPriority);
-    Outcomes = Backend.runColumnsPrioritized(Columns, Priorities);
-  } else {
-    Outcomes = Backend.runColumns(Columns);
-  }
+  // byte-identical to a per-cell run() either way.
+  std::vector<RunOutcome> Outcomes =
+      Backend.runColumns(groupIntoColumns(Jobs));
   Stats.Jobs += Jobs.size();
 
   // Consumption and progress both run on the calling thread — never

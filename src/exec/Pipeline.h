@@ -63,12 +63,8 @@ public:
 
   /// Runs one shard; returns false once the source is exhausted (the
   /// exhausting call finishes the sink and returns false; later calls
-  /// are no-ops returning false). \p DispatchPriority, when nonzero,
-  /// is applied to every column of this shard's batch via
-  /// ExecBackend::runColumnsPrioritized — outcomes are unchanged, but
-  /// the shard's columns enter a contended backend's in-flight window
-  /// ahead of priority-0 work.
-  bool step(unsigned DispatchPriority = 0);
+  /// are no-ops returning false).
+  bool step();
 
   bool done() const { return Done; }
   const PipelineStats &stats() const { return Stats; }

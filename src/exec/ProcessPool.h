@@ -1,4 +1,4 @@
-//===- ProcessPool.h - Fork/exec-isolated execution backend -----*- C++ -*-===//
+//===- ProcessPool.h - Fork-isolated execution backend ----------*- C++ -*-===//
 //
 // Part of the clfuzz project: a reproduction of "Many-Core Compiler
 // Fuzzing" (PLDI 2015).
@@ -7,13 +7,20 @@
 ///
 /// \file
 /// The process-pool ExecBackend: campaign cells execute in forked
-/// worker subprocesses fed serialized job descriptors over pipes, so a
-/// cell that crashes the VM or runs away past its wall-clock deadline
-/// kills one disposable worker — recorded as that job's Crash/Timeout
-/// outcome — instead of the whole campaign. This is the isolation
-/// model real many-core fuzzing needs: the paper's campaigns brought
-/// down drivers and whole machines, and a scheduler that dies with its
-/// victim cannot hunt at scale.
+/// worker subprocesses, so a cell that crashes the VM or runs away past
+/// its wall-clock deadline kills one disposable worker — recorded as
+/// that cell's Crash/Timeout outcome — instead of the whole campaign.
+/// This is the isolation model real many-core fuzzing needs: the
+/// paper's campaigns brought down drivers and whole machines, and a
+/// scheduler that dies with its victim cannot hunt at scale.
+///
+/// The pool is the pipe lane kind of the shared dispatch loop
+/// (exec/Dispatch.h): each lane is a child forked from this process
+/// that reads wire `column` frames on one pipe and answers every cell
+/// with a tagged `outcome` frame on the other (exec/WireProtocol.h) —
+/// the same frames a remote worker speaks. Windows, reassembly and the
+/// failure rule are the loop's; this file only forks, reaps and words
+/// the outcome of a twice-lost cell.
 ///
 /// Determinism: a job descriptor carries the test case, the device
 /// configuration and the run settings by value (exec/JobSerialize.h),
@@ -24,19 +31,16 @@
 ///
 /// Workers are forked lazily on the first batch and reused across
 /// batches; a dead worker is reaped and replaced without disturbing
-/// the rest of the pool. One *frame* is in flight per worker; a frame
-/// adaptively batches up to 8 cheap jobs (written with one syscall,
-/// amortising serialization) whose outcomes stream back one frame
-/// each as they complete, while timeout-prone batches — any run with
-/// a wall-clock deadline set — stay one job per frame so the deadline
-/// and the SIGKILL remain per-job. The small frame cap keeps both
-/// pipe directions far below capacity, which is what keeps the
-/// protocol deadlock-free. A job whose worker dies gets one retry,
-/// alone, on a fresh worker: an innocent job stranded by a batch
-/// neighbour's crash (or an externally killed worker - OOM, operator)
-/// re-runs to its true result, while a genuinely crashing job —
-/// deterministic like every cell — kills the retry worker too and is
-/// recorded as a Crash.
+/// the rest of the pool. One frame is in flight per worker — a column
+/// (or a slice of one) from runColumns(), one cell from run() — so the
+/// parent only ever writes to an idle child and the pipes cannot
+/// deadlock. With a wall-clock deadline set, every frame is one cell,
+/// so the SIGKILL stays per cell. A cell whose worker dies or misses its deadline
+/// gets one retry, alone, on a fresh worker: an innocent cell stranded
+/// by a column neighbour's crash (or an externally killed worker —
+/// OOM, operator) re-runs to its true result, while a genuinely
+/// crashing or runaway cell — deterministic like every cell — fails
+/// the retry too and is recorded as a Crash or Timeout.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,14 +53,14 @@ namespace clfuzz {
 
 /// Builds the process-pool backend: ExecOptions::Threads workers
 /// (0 = one per core), ExecOptions::ProcTimeoutMs wall-clock deadline
-/// per job (0 = none). On platforms without fork() this returns the
+/// per cell (0 = none). On platforms without fork() this returns the
 /// serial InlineBackend instead — same results, no isolation.
 ///
 /// The outcome cache layers *above* this pool, never inside it: the
 /// coordinator-side caching wrapper (makeBackend with
 /// ExecOptions::Cache) and the worker-side cache in
 /// WorkerLoop's executor slots both answer repeated descriptors
-/// before a frame is ever written to a subprocess, so a cache hit —
+/// before a frame is ever written to a child, so a cache hit —
 /// including a remembered Crash or Timeout outcome — costs no fork.
 std::unique_ptr<ExecBackend> makeProcessPoolBackend(const ExecOptions &Opts);
 

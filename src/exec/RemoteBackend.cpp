@@ -33,18 +33,16 @@ std::vector<std::string> clfuzz::splitWorkerList(const std::string &List) {
 
 #if defined(__unix__) || defined(__APPLE__)
 
+#include "exec/Dispatch.h"
 #include "exec/WireProtocol.h"
 #include "support/Backoff.h"
 #include "support/Hash.h"
 #include "support/Metrics.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
-#include <deque>
-#include <map>
-#include <poll.h>
+#include <cstring>
 #include <thread>
 #include <unistd.h>
 
@@ -52,11 +50,42 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-class RemoteBackendImpl final : public ExecBackend {
+/// A TCP lane: a link to one `clfuzz worker`.
+struct Link : Lane {
+  std::string Host;
+  unsigned Port = 0;
+  /// "host:port" of an adopted rendezvous worker (getpeername);
+  /// static links derive their name from Host:Port instead.
+  std::string Peer;
+  /// Joined via the fleet registry: the worker dialled us, so when
+  /// the link drops the *worker* redials — this side never does.
+  bool Dynamic = false;
+  /// Slot count from the hello-ack (or join).
+  unsigned Advertised = 1;
+  /// A failed dial parks the endpoint until this instant; the delay
+  /// comes from the jittered exponential Dial schedule, so a down
+  /// machine costs one connect timeout per widening window, not one
+  /// per batch. Desperate reconnects (no live worker at all) ignore
+  /// the park but still advance the schedule.
+  Clock::time_point NextDialAfter{};
+  Backoff Dial;
+  /// The endpoint has answered a handshake at least once — later
+  /// dials are *re*dials and count as fleet_redials.
+  bool EverConnected = false;
+
+  std::string name() const {
+    return Dynamic ? Peer : Host + ":" + std::to_string(Port);
+  }
+};
+
+class RemoteBackendImpl final : public DispatchBackend {
 public:
   explicit RemoteBackendImpl(const ExecOptions &Opts)
-      : TimeoutMs(Opts.RemoteTimeoutMs), HeartbeatMs(Opts.RemoteHeartbeatMs),
+      : DispatchBackend(Opts.RemoteTimeoutMs, Opts.RemoteHeartbeatMs),
         Fleet(Opts.Fleet) {
+    // With a registry, wake periodically even with nothing scheduled
+    // so fresh joins are adopted promptly mid-batch.
+    IdleWakeMs = Fleet ? 200 : -1;
     if (Opts.RemoteWorkers.empty() && !Fleet)
       throw std::runtime_error(
           "remote backend: no workers configured (--workers=host:port,...)");
@@ -106,49 +135,66 @@ public:
     return Sum ? Sum : 1;
   }
 
-  std::vector<RunOutcome> run(const std::vector<ExecJob> &Jobs) override;
-
 private:
-  struct Link {
-    std::string Host;
-    unsigned Port = 0;
-    /// "host:port" of an adopted rendezvous worker (getpeername);
-    /// static links derive their name from Host:Port instead.
-    std::string Peer;
-    int Fd = -1;
-    /// Joined via the fleet registry: the worker dialled us, so when
-    /// the link drops the *worker* redials — this side never does.
-    bool Dynamic = false;
-    /// The worker sent a leave frame: let the in-flight window
-    /// finish, dispatch nothing new, then close gracefully.
-    bool Draining = false;
-    /// Slot count from the hello-ack; the in-flight window is twice
-    /// this (one round trip of pipelining).
-    unsigned Advertised = 1;
-    /// Tag (== submission index) -> dispatch deadline
-    /// (time_point::max() when no deadline is armed).
-    std::map<uint64_t, Clock::time_point> InFlight;
-    Clock::time_point LastRecv{};
-    bool PingOutstanding = false;
-    Clock::time_point PingSent{};
-    /// A failed dial parks the endpoint until this instant; the delay
-    /// comes from the jittered exponential Dial schedule, so a down
-    /// machine costs one connect timeout per widening window, not one
-    /// per batch. Desperate reconnects (no live worker at all) ignore
-    /// the park but still advance the schedule.
-    Clock::time_point NextDialAfter{};
-    Backoff Dial;
-    /// The endpoint has answered a handshake at least once — later
-    /// dials are *re*dials and count as fleet_redials.
-    bool EverConnected = false;
+  bool refresh(bool Require) override {
+    bool Any = adoptJoined();
+    if (Require)
+      ensureLinks(/*Require=*/true);
+    return Any;
+  }
 
-    bool alive() const { return Fd >= 0; }
-    bool busy() const { return alive() && !InFlight.empty(); }
-    size_t window() const { return size_t(Advertised) * 2; }
-    std::string name() const {
-      return Dynamic ? Peer : Host + ":" + std::to_string(Port);
+  std::vector<Lane *> lanes() override {
+    std::vector<Lane *> Out;
+    for (Link &L : Links)
+      Out.push_back(&L);
+    return Out;
+  }
+
+  /// Two units per advertised slot: one running, one queued behind
+  /// it — enough to hide a round trip, little stranded if it dies.
+  size_t window(const Lane &L, size_t Cells) const override {
+    return 2 * size_t(static_cast<const Link &>(L).Advertised) * Cells;
+  }
+
+  std::string lose(Lane &Base, const char *Slug,
+                   const std::string &Why) override {
+    auto &L = static_cast<Link &>(Base);
+    logFleetDrop("coordinator", L.name(), Slug);
+    bump(Counter::FleetEvictions);
+    dropLink(L);
+    // How lands verbatim in outcome messages (byte-compared campaign
+    // output — never reword).
+    if (std::strcmp(Slug, "deadline") == 0)
+      return "a job missed the " + std::to_string(TimeoutMs) +
+             " ms remote deadline";
+    return Why;
+  }
+
+  RunOutcome lostOutcome(const std::string &How,
+                         bool Deadline) const override {
+    RunOutcome O;
+    if (Deadline) {
+      O.Status = RunStatus::Timeout;
+      O.Message = "exceeded the remote job deadline (" +
+                  std::to_string(TimeoutMs) +
+                  " ms); worker disconnected by remote backend";
+    } else {
+      O.Status = RunStatus::Crash;
+      O.Message = "remote worker connection lost (" + How +
+                  "); isolated by remote backend";
     }
-  };
+    return O;
+  }
+
+  void requeued() override { bump(Counter::FleetRequeues); }
+
+  void retire(Lane &Base) override {
+    auto &L = static_cast<Link &>(Base);
+    wire::writeFrame(L.Fd, wire::FrameType::Shutdown, {});
+    logFleetDrop("coordinator", L.name(), "drained");
+    bump(Counter::FleetLeaves);
+    dropLink(L);
+  }
 
   static BackoffPolicy redialPolicy() {
     BackoffPolicy P;
@@ -166,10 +212,7 @@ private:
   void dropLink(Link &L);
 
   std::vector<Link> Links;
-  unsigned TimeoutMs;
-  unsigned HeartbeatMs;
   std::shared_ptr<FleetRegistry> Fleet;
-  uint64_t NextNonce = 1;
 
   static constexpr unsigned ConnectTimeoutMs = 2000;
   static constexpr unsigned HandshakeTimeoutMs = 5000;
@@ -224,7 +267,7 @@ bool RemoteBackendImpl::dialLink(Link &L, bool IgnorePark) {
     return false;
   }
   armSteadyTimeout(Fd);
-  L.Fd = Fd;
+  L.Fd = L.SendFd = Fd;
   L.InFlight.clear();
   L.LastRecv = Clock::now();
   L.PingOutstanding = false;
@@ -238,7 +281,7 @@ bool RemoteBackendImpl::dialLink(Link &L, bool IgnorePark) {
 void RemoteBackendImpl::dropLink(Link &L) {
   if (L.Fd >= 0)
     ::close(L.Fd);
-  L.Fd = -1;
+  L.Fd = L.SendFd = -1;
   L.InFlight.clear();
   L.PingOutstanding = false;
   L.Draining = false;
@@ -262,7 +305,7 @@ bool RemoteBackendImpl::adoptJoined() {
     armSteadyTimeout(W.Fd);
     Link L;
     L.Peer = W.Peer;
-    L.Fd = W.Fd;
+    L.Fd = L.SendFd = W.Fd;
     L.Dynamic = true;
     L.Advertised = std::max(W.Concurrency, 1u);
     L.LastRecv = Clock::now();
@@ -309,266 +352,6 @@ void RemoteBackendImpl::ensureLinks(bool Require) {
              std::to_string(Fleet->port()) + " with no joined worker";
   throw std::runtime_error("remote backend: no reachable worker (tried " +
                            Tried + ")");
-}
-
-std::vector<RunOutcome>
-RemoteBackendImpl::run(const std::vector<ExecJob> &Jobs) {
-  std::vector<RunOutcome> Results(Jobs.size());
-  if (Jobs.empty())
-    return Results;
-
-  adoptJoined();
-  ensureLinks(/*Require=*/true);
-
-  size_t NextJob = 0, Done = 0;
-  std::vector<uint8_t> FailCount(Jobs.size(), 0);
-  std::deque<size_t> RetryQueue;
-
-  // A worker failure is ambiguous, exactly like a process-pool worker
-  // death: the job may be the killer, or the worker may have died
-  // under it (machine loss, operator, OOM). One requeue onto another
-  // worker resolves it: an innocent job lands on its true result
-  // (preserving bit-identity), a genuinely fatal job fails its second
-  // worker too and is recorded — never silently dropped.
-  auto RecordFailure = [&](uint64_t Tag, const std::string &How,
-                           bool Deadline) {
-    size_t Index = static_cast<size_t>(Tag);
-    if (++FailCount[Index] <= 1) {
-      RetryQueue.push_back(Index);
-      bump(Counter::FleetRequeues);
-      return;
-    }
-    RunOutcome O;
-    if (Deadline) {
-      O.Status = RunStatus::Timeout;
-      O.Message = "exceeded the remote job deadline (" +
-                  std::to_string(TimeoutMs) +
-                  " ms); worker disconnected by remote backend";
-    } else {
-      O.Status = RunStatus::Crash;
-      O.Message = "remote worker connection lost (" + How +
-                  "); isolated by remote backend";
-    }
-    Results[Index] = std::move(O);
-    ++Done;
-  };
-
-  /// Tears a link down and requeues everything it had in flight.
-  /// DeadlineTag (when HasDeadlineTag) is the job whose deadline
-  /// expired — it fails as a deadline; window-mates fail as ordinary
-  /// worker-death casualties. How lands verbatim in outcome messages
-  /// (byte-compared campaign output — never reword); Slug is the
-  /// kebab-case reason of the structured drop log.
-  auto DropAndRequeue = [&](Link &L, const std::string &How,
-                            const char *Slug, uint64_t DeadlineTag,
-                            bool HasDeadlineTag) {
-    std::map<uint64_t, Clock::time_point> Lost = std::move(L.InFlight);
-    logFleetDrop("coordinator", L.name(), Slug);
-    bump(Counter::FleetEvictions);
-    dropLink(L);
-    for (const auto &Entry : Lost)
-      RecordFailure(Entry.first, How,
-                    HasDeadlineTag && Entry.first == DeadlineTag);
-  };
-
-  auto Dispatch = [&] {
-    for (Link &L : Links) {
-      if (!L.alive() || L.Draining)
-        continue;
-      while (L.InFlight.size() < L.window()) {
-        size_t Index;
-        if (!RetryQueue.empty()) {
-          Index = RetryQueue.front();
-          RetryQueue.pop_front();
-        } else if (NextJob < Jobs.size()) {
-          Index = NextJob++;
-        } else {
-          break;
-        }
-        if (!wire::writeFrame(L.Fd, wire::FrameType::Job,
-                              wire::encodeJob(Index, Jobs[Index]))) {
-          // Died under the write: this job plus the window requeue.
-          L.InFlight.emplace(Index, Clock::time_point::max());
-          DropAndRequeue(L, "send failed", "send-failed", 0, false);
-          break;
-        }
-        L.InFlight.emplace(
-            Index, TimeoutMs ? Clock::now() + std::chrono::milliseconds(
-                                                  TimeoutMs)
-                             : Clock::time_point::max());
-      }
-    }
-  };
-
-  Dispatch();
-
-  std::vector<pollfd> Fds;
-  std::vector<Link *> FdOwner;
-  while (Done < Jobs.size()) {
-    // Shard boundaries are where the fleet breathes: adopt whatever
-    // joined since the last iteration (reshapes Links — FdOwner is
-    // rebuilt below), then make sure someone can still run jobs.
-    if (adoptJoined())
-      Dispatch();
-    bool AnyBusy = false;
-    for (Link &L : Links)
-      AnyBusy = AnyBusy || L.busy();
-    if (!AnyBusy) {
-      // Jobs remain but nothing is in flight: every worker is dead or
-      // drained. Re-dial the fleet (throws if nothing comes back) and
-      // retry.
-      ensureLinks(/*Require=*/true);
-      Dispatch();
-      continue;
-    }
-
-    // Poll every live link, not just the busy ones: an idle link is
-    // exactly where a leave frame or an unannounced death shows up,
-    // and both must be noticed before the next dispatch would trust
-    // the link with jobs.
-    Fds.clear();
-    FdOwner.clear();
-    for (Link &L : Links)
-      if (L.alive()) {
-        Fds.push_back({L.Fd, POLLIN, 0});
-        FdOwner.push_back(&L);
-      }
-
-    // Poll until the next scheduled event: the earliest job deadline
-    // or the earliest heartbeat action (probe due / probe overdue).
-    auto Earliest = Clock::time_point::max();
-    for (Link *L : FdOwner) {
-      if (!L->busy())
-        continue;
-      if (TimeoutMs)
-        for (const auto &Entry : L->InFlight)
-          Earliest = std::min(Earliest, Entry.second);
-      if (HeartbeatMs) {
-        auto Hb = (L->PingOutstanding ? L->PingSent : L->LastRecv) +
-                  std::chrono::milliseconds(HeartbeatMs);
-        Earliest = std::min(Earliest, Hb);
-      }
-    }
-    // With a registry, wake periodically even with no scheduled event
-    // so fresh joins are adopted promptly mid-shard.
-    int PollTimeout = Fleet ? 200 : -1;
-    if (Earliest != Clock::time_point::max()) {
-      auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      Earliest - Clock::now())
-                      .count();
-      int Ms = Left < 0 ? 0 : static_cast<int>(Left) + 1;
-      PollTimeout = PollTimeout < 0 ? Ms : std::min(PollTimeout, Ms);
-    }
-
-    int Ready = ::poll(Fds.data(), Fds.size(), PollTimeout);
-    if (Ready < 0) {
-      if (errno == EINTR)
-        continue;
-      throw std::runtime_error("remote backend: poll failed");
-    }
-
-    for (size_t I = 0; I != Fds.size(); ++I) {
-      if (!(Fds[I].revents & (POLLIN | POLLHUP | POLLERR)))
-        continue;
-      Link &L = *FdOwner[I];
-      if (!L.alive())
-        continue; // torn down earlier in this sweep
-      wire::Frame F;
-      wire::ReadStatus RS = wire::readFrame(L.Fd, F);
-      if (RS != wire::ReadStatus::Ok) {
-        DropAndRequeue(L,
-                       RS == wire::ReadStatus::Eof ? "connection closed"
-                                                   : "garbage frame",
-                       RS == wire::ReadStatus::Eof ? "peer-closed"
-                                                   : "garbage-frame",
-                       0, false);
-        continue;
-      }
-      try {
-        if (F.Type == wire::FrameType::Outcome) {
-          wire::DecodedOutcome D = wire::decodeOutcome(F);
-          auto It = L.InFlight.find(D.Tag);
-          if (It != L.InFlight.end()) {
-            Results[static_cast<size_t>(D.Tag)] = std::move(D.Outcome);
-            ++Done;
-            L.InFlight.erase(It);
-          }
-          L.LastRecv = Clock::now();
-          L.PingOutstanding = false;
-        } else if (F.Type == wire::FrameType::HeartbeatAck) {
-          wire::decodeHeartbeat(F);
-          L.LastRecv = Clock::now();
-          L.PingOutstanding = false;
-        } else if (F.Type == wire::FrameType::Leave) {
-          // Graceful drain: nothing new to this link; its in-flight
-          // window completes normally (zero requeues), then the
-          // finalize sweep below closes it.
-          L.Draining = true;
-          L.LastRecv = Clock::now();
-        } else {
-          throw std::runtime_error("unexpected " +
-                                   std::string(wire::frameTypeName(F.Type)) +
-                                   " frame");
-        }
-      } catch (const std::exception &E) {
-        DropAndRequeue(L, E.what(), "protocol-error", 0, false);
-      }
-    }
-
-    auto Now = Clock::now();
-
-    if (TimeoutMs)
-      for (Link &L : Links) {
-        if (!L.busy())
-          continue;
-        uint64_t Expired = 0;
-        bool HasExpired = false;
-        for (const auto &Entry : L.InFlight)
-          if (Entry.second <= Now) {
-            Expired = Entry.first;
-            HasExpired = true;
-            break;
-          }
-        if (HasExpired)
-          DropAndRequeue(L,
-                         "a job missed the " + std::to_string(TimeoutMs) +
-                             " ms remote deadline",
-                         "deadline", Expired, true);
-      }
-
-    if (HeartbeatMs)
-      for (Link &L : Links) {
-        if (!L.busy())
-          continue;
-        auto Interval = std::chrono::milliseconds(HeartbeatMs);
-        if (L.PingOutstanding) {
-          if (Now >= L.PingSent + Interval)
-            DropAndRequeue(L, "heartbeat unanswered", "heartbeat-miss", 0,
-                           false);
-        } else if (Now >= L.LastRecv + Interval) {
-          if (wire::writeFrame(L.Fd, wire::FrameType::Heartbeat,
-                               wire::encodeHeartbeat(NextNonce++))) {
-            L.PingOutstanding = true;
-            L.PingSent = Now;
-          } else {
-            DropAndRequeue(L, "send failed", "send-failed", 0, false);
-          }
-        }
-      }
-
-    // Finalize drains: a draining link whose window has emptied is
-    // done — it handed every in-flight job back as a normal outcome.
-    for (Link &L : Links)
-      if (L.alive() && L.Draining && L.InFlight.empty()) {
-        wire::writeFrame(L.Fd, wire::FrameType::Shutdown, {});
-        logFleetDrop("coordinator", L.name(), "drained");
-        bump(Counter::FleetLeaves);
-        dropLink(L);
-      }
-
-    Dispatch();
-  }
-  return Results;
 }
 
 } // namespace

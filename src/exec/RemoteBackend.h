@@ -10,38 +10,32 @@
 /// ExecBackend that multiplexes a batch of campaign cells over N
 /// `clfuzz worker` connections (exec/WorkerLoop.h), speaking the
 /// framed protocol of exec/WireProtocol.h (docs/wire-protocol.md).
-/// This is the ROADMAP's "point the job frames at a TCP stream" step:
-/// the descriptors already crossed a process boundary for the process
-/// pool, so crossing a machine boundary changes scheduling and
-/// failure handling, never results.
+/// It is the TCP lane kind of the shared dispatch loop
+/// (exec/Dispatch.h): the process pool's pipe lanes and these links
+/// run the same loop over the same frames, so crossing a machine
+/// boundary changes scheduling and failure handling, never results.
 ///
 /// Scheduling: each worker advertises its slot count in the
-/// handshake; the coordinator keeps an in-flight window of twice that
-/// many jobs per connection (enough to hide one round trip, small
-/// enough that a dying worker strands little). Outcomes arrive tagged
-/// with their submission index, in whatever order workers finish, and
-/// reassemble into Results[I] == outcome of Jobs[I] — the pipeline's
-/// bit-identity contract survives the network because job descriptors
-/// are pure (exec/JobSerialize.h) and reassembly is index-keyed, so
-/// `--backend=remote` output is byte-identical to `--backend=inline`
-/// at any worker count.
+/// handshake; the loop keeps two units — columns, or single cells in
+/// run() — per slot in flight on each connection (enough to hide one
+/// round trip, small enough that a dying worker strands little).
+/// Outcomes arrive tagged with their cell's submission index, in
+/// whatever order workers finish, and reassemble into Results[I] ==
+/// outcome of Jobs[I] — the bit-identity contract survives the network
+/// because descriptors are pure (exec/JobSerialize.h) and reassembly
+/// is index-keyed, so `--backend=remote` output is byte-identical to
+/// `--backend=inline` at any worker count.
 ///
-/// Failure handling mirrors the process pool, one level up:
-///
-///  * a worker that dies (EOF, reset, garbage frame) has its
-///    in-flight jobs requeued onto the surviving workers; a job
-///    whose worker dies twice is recorded as that job's Crash
-///    outcome, never silently dropped;
-///  * ExecOptions::RemoteTimeoutMs arms a per-job deadline at
-///    dispatch; a worker that blows it is disconnected and the job
-///    requeued (second expiry = Timeout outcome);
-///  * a busy worker that goes quiet is probed with heartbeat frames
-///    (ExecOptions::RemoteHeartbeatMs); a missed probe counts as
-///    worker death — this is how a wedged-but-connected worker is
-///    distinguished from a slow one;
-///  * dead endpoints are re-dialled at every batch boundary (and
-///    immediately when no worker is left), so a restarted worker
-///    rejoins the campaign without coordinator restart.
+/// Failure handling is the loop's one rule: the unanswered cells of a
+/// worker that dies (EOF, reset, garbage frame), misses a heartbeat
+/// (ExecOptions::RemoteHeartbeatMs; how a wedged-but-connected worker
+/// is told from a slow one) or lets a cell blow ExecOptions::
+/// RemoteTimeoutMs are requeued once, alone, and recorded as Crash or
+/// Timeout on a second loss — never silently dropped. What this lane
+/// kind adds: dead endpoints are re-dialled at every batch boundary
+/// (and immediately when no worker is left), so a restarted worker
+/// rejoins without coordinator restart; rendezvous workers are adopted
+/// from a FleetRegistry mid-batch; a leaving worker drains its window.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -34,6 +34,8 @@ const char *clfuzz::wire::frameTypeName(FrameType T) {
     return "join-ack";
   case FrameType::Leave:
     return "leave";
+  case FrameType::Column:
+    return "column";
   }
   return "?";
 }
@@ -42,7 +44,7 @@ namespace {
 
 bool knownFrameType(uint8_t T) {
   return T >= static_cast<uint8_t>(FrameType::Hello) &&
-         T <= static_cast<uint8_t>(FrameType::Leave);
+         T <= static_cast<uint8_t>(FrameType::Column);
 }
 
 } // namespace
@@ -94,6 +96,34 @@ DecodedJob clfuzz::wire::decodeJob(const Frame &F) {
   D.Job = deserializeExecJob(R);
   if (!R.atEnd())
     throw std::runtime_error("trailing bytes in job frame");
+  return D;
+}
+
+std::vector<uint8_t> clfuzz::wire::encodeColumn(uint64_t BaseTag,
+                                                const ExecColumn &Col) {
+  WireWriter W;
+  W.u64(BaseTag);
+  serializeExecColumn(W, Col);
+  return W.buffer();
+}
+
+DecodedColumn clfuzz::wire::decodeColumn(const Frame &F) {
+  DecodedColumn D;
+  if (F.Type == FrameType::Job) {
+    DecodedJob J = decodeJob(F);
+    D.BaseTag = J.Tag;
+    D.Column.Test = std::move(J.Job.Test);
+    D.Column.Cells.push_back({std::move(J.Job.Config), J.Job.Opt,
+                              J.Job.Settings});
+    return D;
+  }
+  WireReader R(F.Payload.data(), F.Payload.size());
+  D.BaseTag = R.u64();
+  D.Column = deserializeExecColumn(R);
+  if (D.Column.Cells.empty())
+    throw std::runtime_error("column frame without cells");
+  if (!R.atEnd())
+    throw std::runtime_error("trailing bytes in column frame");
   return D;
 }
 

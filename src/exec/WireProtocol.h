@@ -6,13 +6,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The framed wire protocol spoken between a campaign coordinator
-/// (exec/RemoteBackend.h) and `clfuzz worker` processes
-/// (exec/WorkerLoop.h), carrying the same ExecJob / RunOutcome
-/// descriptors the process pool pipes around (exec/JobSerialize.h) —
-/// but across a real network boundary, so unlike the process pool's
-/// private framing this one is versioned, magic-tagged and paranoid
-/// about garbage.
+/// The one framed protocol of out-of-process execution: the dispatch
+/// loop (exec/Dispatch.h) speaks it to both of its lane kinds — a
+/// forked process-pool child on two pipes (exec/ProcessPool.h) and a
+/// `clfuzz worker` across TCP (exec/RemoteBackend.h,
+/// exec/WorkerLoop.h) — carrying the ExecJob / RunOutcome descriptors
+/// of exec/JobSerialize.h. Because the TCP peer may be another build on
+/// another machine, the framing is versioned, magic-tagged and
+/// paranoid about garbage; a pipe child simply speaks the same frames.
 ///
 /// The format is specified in docs/wire-protocol.md; coordinator and
 /// worker can evolve independently as long as both honour that
@@ -24,9 +25,7 @@
 /// connection as dead — frames are never resynchronized mid-stream.
 ///
 /// This header also hosts the small POSIX fd/socket helpers shared by
-/// the worker, the remote backend and the process pool (readFull /
-/// writeFullNoSigpipe predate this file in ProcessPool.cpp and were
-/// hoisted here when the network backend arrived).
+/// the worker, the remote backend and the process pool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +52,9 @@ constexpr uint32_t FrameMagic = 0x5A464C43;
 /// (exec/FleetRegistry.h). The v2 flows are untouched — a
 /// statically-listed worker speaks exactly the v2 hello/hello-ack
 /// sequence, just with the new version byte.
-constexpr uint8_t ProtocolVersion = 3;
+/// v4: the column frame (one test, many cells, one outcome per cell);
+/// every lane of the dispatch loop, pipe or TCP, takes work as columns.
+constexpr uint8_t ProtocolVersion = 4;
 
 /// The cache generation a coordinator announces in every hello: the
 /// outcome-cache format version (OutcomeCache::FormatVersion; the two
@@ -83,6 +84,7 @@ enum class FrameType : uint8_t {
   JoinAck = 9,      ///< registry -> worker: accept/reject + cache gen
   Leave = 10,       ///< worker -> coordinator: drain request — finish
                     ///< my in-flight jobs, send me nothing new
+  Column = 11,      ///< coordinator -> worker: base tag + ExecColumn
 };
 
 /// Printable name ("job", "outcome", ...), for diagnostics.
@@ -103,7 +105,7 @@ enum class ReadStatus : uint8_t {
 };
 
 //===----------------------------------------------------------------------===//
-// Fd primitives (shared with the process pool)
+// Fd primitives
 //===----------------------------------------------------------------------===//
 
 /// Reads exactly N bytes; false on EOF or unrecoverable error.
@@ -166,6 +168,19 @@ struct DecodedJob {
   OwnedExecJob Job;
 };
 DecodedJob decodeJob(const Frame &F);
+
+/// Column: u64 base tag + serialized ExecColumn (the test case once,
+/// then each cell's config, opt level and settings). Cell K is
+/// answered by one outcome frame tagged BaseTag + K; the coordinator
+/// uses the cell's index in its batch, so consecutive cells of a
+/// column have consecutive tags. decodeColumn also reads a job frame,
+/// as a column of one cell.
+std::vector<uint8_t> encodeColumn(uint64_t BaseTag, const ExecColumn &Col);
+struct DecodedColumn {
+  uint64_t BaseTag = 0;
+  OwnedExecColumn Column;
+};
+DecodedColumn decodeColumn(const Frame &F);
 
 /// Outcome: u64 tag + serialized RunOutcome.
 std::vector<uint8_t> encodeOutcome(uint64_t Tag, const RunOutcome &O);

@@ -45,7 +45,7 @@ struct WorkerServer::Connection {
   std::mutex WriteMu;
   std::mutex QueueMu;
   std::condition_variable QueueCV;
-  std::deque<wire::DecodedJob> Queue;
+  std::deque<wire::DecodedColumn> Queue;
   bool Closing = false;
 
   /// Rendezvous connections arrive with the join handshake already
@@ -365,12 +365,13 @@ void WorkerServer::serveConnection(Connection &Conn) {
       break;
     }
     try {
-      if (F.Type == wire::FrameType::Job) {
-        wire::DecodedJob Job = wire::decodeJob(F);
+      if (F.Type == wire::FrameType::Column ||
+          F.Type == wire::FrameType::Job) {
+        wire::DecodedColumn Col = wire::decodeColumn(F);
         if (Opts.IgnoreJobs)
           continue; // the wedged-worker model: swallow it
         std::lock_guard<std::mutex> Lock(Conn.QueueMu);
-        Conn.Queue.push_back(std::move(Job));
+        Conn.Queue.push_back(std::move(Col));
         Conn.QueueCV.notify_one();
       } else if (F.Type == wire::FrameType::Heartbeat) {
         if (Opts.IgnoreJobs)
@@ -413,7 +414,7 @@ void WorkerServer::serveConnection(Connection &Conn) {
 
 void WorkerServer::runnerLoop(Connection &Conn) {
   // Each slot owns a single-subprocess process pool: the fork
-  // isolation, per-job wall-clock kill and crash-retry semantics (and
+  // isolation, per-cell wall-clock kill and crash-retry semantics (and
   // therefore the outcome *messages*) are exactly --backend=procs'.
   ExecOptions E;
   E.Threads = 1;
@@ -422,88 +423,107 @@ void WorkerServer::runnerLoop(Connection &Conn) {
   std::unique_ptr<ExecBackend> Local = makeProcessPoolBackend(E);
 
   for (;;) {
-    wire::DecodedJob Job;
+    wire::DecodedColumn Work;
     {
       std::unique_lock<std::mutex> Lock(Conn.QueueMu);
       Conn.QueueCV.wait(Lock,
                         [&] { return Conn.Closing || !Conn.Queue.empty(); });
       if (Conn.Queue.empty())
         return;
-      Job = std::move(Conn.Queue.front());
+      Work = std::move(Conn.Queue.front());
       Conn.Queue.pop_front();
     }
+    ExecColumn Col = Work.Column.view();
+    size_t N = Col.Jobs.size();
 
-    // Consult the worker-side outcome cache first: a repeated
-    // descriptor (the reference run every configuration column
-    // re-dispatches, a reduction re-probe) is answered without a
-    // fork. Descriptors are pure (exec/JobSerialize.h), so a cached
-    // outcome is byte-identical to a fresh execution.
-    RunOutcome O;
-    OutcomeCache::Key K;
-    bool FromCache = false;
-    if (Cache) {
-      K = Cache->keyOf(Job.Job.view());
-      FromCache = Cache->lookup(K, O);
+    // Consult the worker-side outcome cache first, cell by cell: a
+    // repeated descriptor (the reference run every configuration
+    // column re-dispatches, a reduction re-probe) is answered without
+    // a fork. Descriptors are pure (exec/JobSerialize.h), so a cached
+    // outcome is byte-identical to a fresh execution. The misses run
+    // as one column: parsed once, launches memoized.
+    std::vector<RunOutcome> Outs(N);
+    std::vector<OutcomeCache::Key> Keys(N);
+    std::vector<bool> FromCache(N, false);
+    ExecColumn Miss;
+    for (size_t K = 0; K != N; ++K) {
+      if (Cache) {
+        Keys[K] = Cache->keyOf(Col.Jobs[K]);
+        FromCache[K] = Cache->lookup(Keys[K], Outs[K]);
+      }
+      if (!FromCache[K])
+        Miss.Jobs.push_back(Col.Jobs[K]);
     }
-    if (!FromCache) {
+    if (!Miss.Jobs.empty()) {
+      std::vector<RunOutcome> Ran;
       bool ExecutorFailed = false;
       try {
-        O = Local->run({Job.Job.view()}).at(0);
+        Ran = Local->runColumns({Miss});
       } catch (const std::exception &Ex) {
+        RunOutcome O;
         O.Status = RunStatus::Crash;
         O.Message = std::string("worker: ") + Ex.what();
+        Ran.assign(Miss.Jobs.size(), O);
         ExecutorFailed = true;
       }
-      // Only genuine job outcomes are cacheable. A synthesized Crash
-      // from a failing *executor* (fork failure, fd exhaustion) is
-      // this worker's transient trouble, not a property of the
-      // descriptor — memoizing it would serve the failure forever.
-      if (Cache && !ExecutorFailed)
-        Cache->store(K, O);
+      for (size_t K = 0, M = 0; K != N; ++K) {
+        if (FromCache[K])
+          continue;
+        Outs[K] = std::move(Ran[M++]);
+        // Only genuine cell outcomes are cacheable. A synthesized Crash
+        // from a failing *executor* (fork failure, fd exhaustion) is
+        // this worker's transient trouble, not a property of the
+        // descriptor — memoizing it would serve the failure forever.
+        if (Cache && !ExecutorFailed)
+          Cache->store(Keys[K], Outs[K]);
+      }
     }
 
-    bool RequestDrain = false;
-    if (FromCache) {
-      CacheServed.fetch_add(1);
-    } else {
-      size_t Count = Executed.fetch_add(1) + 1;
-      if (Opts.DieAfterJobs && Count >= Opts.DieAfterJobs) {
-        // Die *before* sending this outcome: the coordinator sees the
-        // connection drop with the job (and its window-mates) still in
-        // flight — the failure mode the requeue/reassembly logic must
-        // survive.
-        if (Count == Opts.DieAfterJobs) {
-          logFleetDrop("worker", peerName(Conn.Fd), "die-injected");
-          Died.store(true);
-          closeAllSockets();
+    for (size_t K = 0; K != N; ++K) {
+      bool RequestDrain = false;
+      if (FromCache[K]) {
+        CacheServed.fetch_add(1);
+      } else {
+        size_t Count = Executed.fetch_add(1) + 1;
+        if (Opts.DieAfterJobs && Count >= Opts.DieAfterJobs) {
+          // Die *before* sending this outcome: the coordinator sees the
+          // connection drop with the cell (and its window-mates) still
+          // in flight — the failure mode the requeue/reassembly logic
+          // must survive.
+          if (Count == Opts.DieAfterJobs) {
+            logFleetDrop("worker", peerName(Conn.Fd), "die-injected");
+            Died.store(true);
+            closeAllSockets();
+          }
+          continue;
         }
-        continue;
-      }
-      size_t Session = Conn.SessionExecuted.fetch_add(1) + 1;
-      if (Opts.FlapAfterJobs && Session >= Opts.FlapAfterJobs) {
-        // Flap: suppress this outcome and kill just this connection —
-        // the dialer (rendezvous) or the coordinator (static list)
-        // redials, and the cycle repeats. Unlike DieAfterJobs the
-        // server survives.
-        if (Session == Opts.FlapAfterJobs) {
-          logFleetDrop("worker", peerName(Conn.Fd), "flap-injected");
-          ::shutdown(Conn.Fd, SHUT_RDWR);
+        size_t Session = Conn.SessionExecuted.fetch_add(1) + 1;
+        if (Opts.FlapAfterJobs && Session >= Opts.FlapAfterJobs) {
+          // Flap: suppress this outcome and kill just this connection —
+          // the dialer (rendezvous) or the coordinator (static list)
+          // redials, and the cycle repeats. Unlike DieAfterJobs the
+          // server survives.
+          if (Session == Opts.FlapAfterJobs) {
+            logFleetDrop("worker", peerName(Conn.Fd), "flap-injected");
+            ::shutdown(Conn.Fd, SHUT_RDWR);
+          }
+          continue;
         }
-        continue;
+        // Drain *after* this outcome goes out: the leave frame follows
+        // the last executed cell under the same write lock, so the
+        // coordinator's view is "outcome, then leave" — never a lost
+        // cell.
+        if (Opts.DrainAfterJobs && Count == Opts.DrainAfterJobs)
+          RequestDrain = true;
       }
-      // Drain *after* this outcome goes out: the leave frame follows
-      // the last executed job under the same write lock, so the
-      // coordinator's view is "outcome, then leave" — never a lost
-      // job.
-      if (Opts.DrainAfterJobs && Count == Opts.DrainAfterJobs)
-        RequestDrain = true;
-    }
 
-    std::lock_guard<std::mutex> Lock(Conn.WriteMu);
-    wire::writeFrame(Conn.Fd, wire::FrameType::Outcome,
-                     wire::encodeOutcome(Job.Tag, O));
-    if (RequestDrain && !DrainRequested.exchange(true))
-      wire::writeFrame(Conn.Fd, wire::FrameType::Leave, wire::encodeLeave());
+      std::lock_guard<std::mutex> Lock(Conn.WriteMu);
+      wire::writeFrame(Conn.Fd, wire::FrameType::Outcome,
+                       wire::encodeOutcome(Work.BaseTag + K, Outs[K]));
+      if (RequestDrain && !DrainRequested.exchange(true))
+        wire::writeFrame(Conn.Fd, wire::FrameType::Leave,
+                         wire::encodeLeave());
+    }
   }
 }
 

@@ -9,22 +9,25 @@
 /// The worker half of multi-host campaign execution: a TCP server
 /// that accepts coordinator connections, speaks the framed protocol
 /// of exec/WireProtocol.h (specified in docs/wire-protocol.md), and
-/// runs each received ExecJob through a *local, fork-isolated*
-/// process-pool slot — so a job that crashes the VM or blows its
+/// runs each received column through a *local, fork-isolated*
+/// process-pool slot — so a cell that crashes the VM or blows its
 /// wall-clock deadline kills one disposable subprocess on the worker
-/// machine, is reported back as that job's Crash/Timeout outcome, and
+/// machine, is reported back as that cell's Crash/Timeout outcome, and
 /// the worker keeps serving. A `clfuzz worker` on another machine is
 /// the paper's "many cores" knob turned past one host.
 ///
 /// Shape: one service thread per accepted connection (a campaign
 /// coordinator and several background reduction jobs can all be
-/// clients of the same worker at once); per connection, `Jobs`
-/// executor slots, each owning a single-subprocess ProcessPoolBackend
-/// (exec/ProcessPool.h), so outcomes stream back as they complete —
-/// possibly out of submission order, which is why every outcome
-/// echoes its job's tag. Determinism is inherited wholesale: a job
-/// descriptor is a pure function of its bytes (exec/JobSerialize.h),
-/// so where it runs is unobservable in campaign output.
+/// clients of the same worker at once) decodes `column` frames into a
+/// queue; per connection, `Jobs` executor slots each take one column
+/// at a time, answer the cells the worker-side outcome cache knows,
+/// and run the rest as one column through a single-child
+/// ProcessPoolBackend (exec/ProcessPool.h) — one parse, one launch
+/// memo. Outcomes go back one frame per cell, tagged base tag + k, in
+/// whatever order the slots finish. Determinism is inherited
+/// wholesale: a cell descriptor is a pure function of its bytes
+/// (exec/JobSerialize.h), so where it runs is unobservable in
+/// campaign output.
 ///
 /// Two ways onto a fleet (docs/fleet.md): listen mode (the worker
 /// binds a port and coordinators dial it — the static `--workers=`
@@ -38,8 +41,8 @@
 /// loopback workers in-process); `clfuzz worker` wraps it in
 /// runWorkerCommand. The fault-injection options model the failure
 /// modes the coordinator must survive: DieAfterJobs hard-closes the
-/// server before the Nth outcome is sent (worker death with jobs in
-/// flight), IgnoreJobs swallows jobs and heartbeats (wedged worker),
+/// server before the Nth outcome is sent (worker death with cells in
+/// flight), IgnoreJobs swallows columns and heartbeats (wedged worker),
 /// DrainAfterJobs leaves gracefully, FlapAfterJobs kills and redials
 /// the connection in a loop, StaleJoins rehearses the
 /// stale-cache-generation rejection. Every connection teardown emits
@@ -80,19 +83,21 @@ struct WorkerOptions {
   /// backoff whenever the connection drops or a join is refused.
   std::string Connect;
 
-  /// Executor slots per connection (0 = one per hardware thread).
-  /// Advertised to the coordinator in the hello-ack so it can size
-  /// its in-flight window.
+  /// Executor slots per connection (0 = one per hardware thread), each
+  /// running one column at a time. Advertised to the coordinator in
+  /// the hello-ack so it can size its in-flight window.
   unsigned Jobs = 1;
 
-  /// Wall-clock deadline per job, enforced by each slot's local
-  /// process pool (0 = none). Outcome messages match --backend=procs
+  /// Wall-clock deadline per cell, enforced by each slot's local
+  /// process pool (0 = none): a runaway is killed, retried once and
+  /// then answered as Timeout. Outcome messages match --backend=procs
   /// with the same ProcTimeoutMs, keeping remote output bit-identical.
   unsigned ProcTimeoutMs = 0;
 
-  /// Fault injection: after executing this many jobs (across all
+  /// Fault injection: after executing this many cells (across all
   /// connections), hard-close every socket *before* sending the Nth
-  /// outcome — a worker dying with jobs in flight. 0 disables.
+  /// outcome — a worker dying with cells in flight, possibly in the
+  /// middle of a column. 0 disables.
   unsigned DieAfterJobs = 0;
 
   /// Fault injection: complete the handshake, then silently discard
@@ -113,9 +118,10 @@ struct WorkerOptions {
   /// the connection, then (in rendezvous mode) redial with backoff
   /// and do it again. Models the die/redial loop of a machine cycling
   /// under an unstable supply of anything. 0 disables. Keep it above
-  /// the in-flight window (2 x Jobs) so every killed job completes on
-  /// its retry before the next flap — the byte-identity chaos tests
-  /// rely on that. 0 disables.
+  /// the in-flight window, counted in cells (2 x Jobs for per-cell
+  /// batches, 2 x Jobs x a column's cells for column batches), so every
+  /// killed cell completes on its retry before the next flap — the
+  /// byte-identity chaos tests rely on that.
   unsigned FlapAfterJobs = 0;
 
   /// Fault injection, rendezvous mode only: announce a wrong cache

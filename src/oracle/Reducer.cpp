@@ -643,13 +643,7 @@ TestCase clfuzz::reduceTest(const TestCase &Input,
     Plan.expand(Best, Jobs);
     // One test's cells: a single column, so the worker parses the
     // witness once for all its admissible cells.
-    std::vector<ExecColumn> Cols = groupIntoColumns(Jobs);
-    std::vector<RunOutcome> Outs =
-        Opts.DispatchPriority != 0
-            ? Backend->runColumnsPrioritized(
-                  Cols, std::vector<unsigned>(Cols.size(),
-                                              Opts.DispatchPriority))
-            : Backend->runColumns(Cols);
+    std::vector<RunOutcome> Outs = Backend->runColumns(groupIntoColumns(Jobs));
     bool Interesting = Plan.judge(Outs);
     if (Opts.Trace) {
       ReduceTraceEvent E;
@@ -725,7 +719,7 @@ TestCase clfuzz::reduceTest(const TestCase &Input,
             Plan.expand(T, Jobs);
           },
           Sink);
-      while (CandidateRun.step(Opts.DispatchPriority))
+      while (CandidateRun.step())
         ;
     }
 

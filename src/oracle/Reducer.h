@@ -196,11 +196,9 @@ struct ReducerOptions {
   /// workers must leave this null: concurrent jobs sharing one
   /// backend would race.
   ExecBackend *Backend = nullptr;
-  /// Dispatch priority for the candidate-probe batches (see
-  /// ExecBackend::runColumnsPrioritized). The scheduler's reduction
-  /// lane sets this nonzero so reduction probes enter a contended
-  /// backend's in-flight window ahead of priority-0 work; outcomes —
-  /// and therefore the reduction — are byte-identical at any value.
+  /// Unused: every batch dispatches in submission order. Kept only
+  /// because e2ebench/campaign_bench.cpp still writes it; delete it
+  /// with that line.
   unsigned DispatchPriority = 0;
   /// Optional deterministic trace sink.
   ReduceTraceFn Trace;

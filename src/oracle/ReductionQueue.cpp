@@ -87,14 +87,8 @@ ReductionResult clfuzz::reduceAndTriage(
     bool TriageUninteresting) {
   ReductionResult R;
   R.Reduced = reduceTest(Witness, Oracle, Opts, &R.Stats);
-  if (Triage && (R.Stats.WitnessWasInteresting || TriageUninteresting)) {
-    TriageOptions TO;
-    TO.Exec = Opts.Exec;
-    TO.Backend = Opts.Backend;
-    TO.DispatchPriority = Opts.DispatchPriority;
-    TO.Run = Opts.Run;
-    R.Triage = triageWitness(R.Reduced, Triage->Config, Triage->Opt, TO);
-  }
+  if (Triage && (R.Stats.WitnessWasInteresting || TriageUninteresting))
+    R.Triage = triageWitness(R.Reduced, Triage->Config, Triage->Opt, Opts);
   return R;
 }
 

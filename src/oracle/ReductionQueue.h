@@ -101,8 +101,8 @@ struct ReductionResult {
 /// the `reduce` and `triage` campaigns: shrinks \p Witness under
 /// \p Oracle with \p Opts, then, when \p Triage is set, bisects the
 /// reduced witness with probes riding the reduction's own scheduling —
-/// same backend, dispatch priority and run settings, so cache- and
-/// remote-transparent by construction. A witness the oracle rejects
+/// the same ReducerOptions, so the same backend and run settings:
+/// cache- and remote-transparent by construction. A witness the oracle rejects
 /// outright is triaged as it stands (the verdict says it does not
 /// reproduce) unless \p TriageUninteresting is false. Fills Reduced,
 /// Stats and Triage; exceptions propagate to the caller.

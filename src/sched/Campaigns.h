@@ -96,8 +96,8 @@ struct WitnessSpec {
   int ConfigId = 0;
   bool Opt = false;
   /// Candidate/probe evaluation tuning; set Opts.Backend to evaluate
-  /// on a shared (scheduler-owned) backend. Backend and
-  /// DispatchPriority flow through to triage's bisection probes.
+  /// on a shared (scheduler-owned) backend. The same options schedule
+  /// triage's bisection probes.
   ReducerOptions Opts;
 };
 

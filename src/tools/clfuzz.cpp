@@ -126,9 +126,18 @@ struct UsageError : std::runtime_error {
 struct CliArgs {
   std::string Command;
   std::map<std::string, std::string> Options;
-  /// Every key looked up so far: `sched` rejects a declaration
-  /// parameter its spec builder never read.
+  /// Every key looked up so far: a command rejects a flag, and
+  /// `sched` a declaration parameter, that its spec builder never read.
   mutable std::set<std::string> Read;
+
+  /// Throws UsageError naming the first option nothing looked up
+  /// ("unknown flag '--bogus'").
+  void rejectUnread(const char *What, const char *Prefix) const {
+    for (const auto &Opt : Options)
+      if (!Read.count(Opt.first))
+        throw UsageError(std::string("unknown ") + What + " '" + Prefix +
+                         Opt.first + "'");
+  }
 
   bool has(const std::string &Key) const {
     Read.insert(Key);
@@ -199,7 +208,9 @@ GenOptions genOptionsFrom(const CliArgs &A) {
 }
 
 int cmdGen(const CliArgs &A) {
-  GeneratedKernel K = generateKernel(genOptionsFrom(A));
+  GenOptions GO = genOptionsFrom(A);
+  A.rejectUnread("flag", "--");
+  GeneratedKernel K = generateKernel(GO);
   std::printf("// mode: %s, seed: %llu\n", genModeName(K.Mode),
               static_cast<unsigned long long>(K.Seed));
   std::printf("// NDRange: global (%u,%u,%u) local (%u,%u,%u)\n",
@@ -233,6 +244,7 @@ int cmdRun(const CliArgs &A) {
   TestCase T = TestCase::fromGenerated(generateKernel(genOptionsFrom(A)));
   int ConfigId = static_cast<int>(A.getInt("config", 0));
   bool Opt = A.has("opt");
+  A.rejectUnread("flag", "--");
   RunOutcome O;
   if (ConfigId == 0) {
     O = runTestOnReference(T, Opt);
@@ -404,13 +416,13 @@ ExecOptions execOptionsFrom(const CliArgs &A) {
   backendFrom(A, "backend", "backend", Opts.Backend);
   applyRemoteOptions(A, Opts, "workers");
   applyCacheOptions(A, Opts);
+  std::string FleetHost = A.get("fleet-host", "127.0.0.1");
   if (A.has("fleet-listen")) {
     if (Opts.Backend != BackendKind::Remote) {
       std::fprintf(stderr,
                    "--fleet-listen only makes sense with --backend=remote\n");
       std::exit(1);
     }
-    std::string FleetHost = A.get("fleet-host", "127.0.0.1");
     try {
       Opts.Fleet = makeFleetRegistry(
           FleetHost, static_cast<unsigned>(A.getInt("fleet-listen", 0)));
@@ -531,6 +543,7 @@ ExecOptions reduceExecFrom(const CliArgs &A, bool BuildCache = true) {
 int cmdDiff(const CliArgs &A) {
   DiffSpec Spec = diffSpecFrom(A);
   ExecOptions Opts = execOptionsFrom(A);
+  A.rejectUnread("flag", "--");
   std::unique_ptr<ExecBackend> Backend = makeBackendOrDie(Opts);
   // The task code is shared with `clfuzz sched`: a diff campaign
   // interleaved with others steps through exactly this path.
@@ -543,6 +556,7 @@ int cmdDiff(const CliArgs &A) {
 int cmdReduce(const CliArgs &A) {
   ReduceSpec Spec = reduceSpecFrom(A);
   Spec.Opts.Exec = reduceExecFrom(A);
+  A.rejectUnread("flag", "--");
   // The task code is shared with `clfuzz sched` (which points
   // Spec.Opts.Backend at its shared backend instead); the report is
   // deliberately backend-silent, byte-identical across
@@ -562,6 +576,7 @@ int cmdReduce(const CliArgs &A) {
 int cmdTriage(const CliArgs &A) {
   TriageSpec Spec = triageSpecFrom(A);
   Spec.Opts.Exec = reduceExecFrom(A);
+  A.rejectUnread("flag", "--");
   // The task code is shared with `clfuzz sched` (which points
   // Spec.Opts.Backend at its shared backend instead).
   std::unique_ptr<CampaignTask> Task = makeTriageTask(Spec, stdout);
@@ -573,6 +588,9 @@ int cmdTriage(const CliArgs &A) {
 int cmdHunt(const CliArgs &A) {
   HuntSpec Spec = huntSpecFrom(A);
   ExecOptions Opts = execOptionsFrom(A);
+  // Read whether or not the hunt reduces, like --reduce-max.
+  ExecOptions ReduceExec = reduceExecFrom(A, /*BuildCache=*/false);
+  A.rejectUnread("flag", "--");
   std::unique_ptr<ExecBackend> Backend = makeBackendOrDie(Opts);
 
   // Background reduction: wrong-code witnesses are queued for
@@ -580,7 +598,7 @@ int cmdHunt(const CliArgs &A) {
   // the hunt never stalls on a reduction. --reduce-jobs concurrent
   // reductions, each evaluating candidates on --reduce-backend.
   if (Spec.Reduce) {
-    Spec.ReduceOpts.Exec = reduceExecFrom(A, /*BuildCache=*/false);
+    Spec.ReduceOpts.Exec = ReduceExec;
     // Within one background job, evaluate serially.
     Spec.ReduceOpts.Exec.Threads = 1;
     // Campaign and background reductions share one cache: every
@@ -612,8 +630,8 @@ int cmdHunt(const CliArgs &A) {
 /// (--out-dir=DIR files, or tmpfiles replayed to stdout in
 /// declaration order), so every report is byte-identical to the
 /// campaign's solo run. hunt(...,reduce) campaigns drain their
-/// witnesses through a Reduction-lane task on the shared backend at
-/// elevated dispatch priority. docs/scheduler.md is the manual.
+/// witnesses through a Reduction-lane task on the shared backend.
+/// docs/scheduler.md is the manual.
 int cmdSched(const CliArgs &A) {
   if (!A.has("campaigns")) {
     std::fprintf(
@@ -699,11 +717,10 @@ int cmdSched(const CliArgs &A) {
       } else if (D.Type == "hunt") {
         // Scheduler-driven reduction (ReduceWorkers stays 0):
         // witnesses queue up and the Reduction-lane task drains them
-        // through the SHARED backend at elevated dispatch priority —
-        // no private threads, no private backend.
+        // through the SHARED backend — no private threads, no private
+        // backend.
         HuntSpec Spec = huntSpecFrom(Sub);
         Spec.ReduceOpts.Backend = Backend.get();
-        Spec.ReduceOpts.DispatchPriority = 1;
         HuntCampaign C = makeHuntCampaign(Spec, ShardSize, *Backend, Out);
         Lane = C.Lane.get();
         Tasks.push_back(std::move(C.Main));
@@ -726,9 +743,7 @@ int cmdSched(const CliArgs &A) {
         Spec.Opts.Backend = Backend.get();
         Tasks.push_back(makeReduceTask(Spec, Out));
       }
-      for (const auto &Param : Sub.Options)
-        if (!Sub.Read.count(Param.first))
-          throw UsageError("unknown parameter '" + Param.first + "'");
+      Sub.rejectUnread("parameter", "");
     } catch (const UsageError &E) {
       throw UsageError("campaign '" + D.Name + "': " + E.what());
     }
@@ -736,6 +751,7 @@ int cmdSched(const CliArgs &A) {
     if (Lane)
       Sched.add(D.Name + "/reduce", *Lane);
   }
+  A.rejectUnread("flag", "--");
 
   Sched.runToCompletion();
 
@@ -811,6 +827,7 @@ int cmdWorker(const CliArgs &A) {
     return 2;
   }
   WO.CacheMemMb = static_cast<unsigned>(A.getInt("cache-mem-mb", 0));
+  A.rejectUnread("flag", "--");
   return runWorkerCommand(WO);
 }
 
@@ -868,7 +885,7 @@ int usage() {
       "  an unknown key is an error);\n"
       "  --sched-policy=rr|yield (--yield-window=N --yield-boost=N)\n"
       "  --out-dir=DIR per-campaign report files (default: buffered and\n"
-      "  replayed to stdout); reductions run in a priority lane on the\n"
+      "  replayed to stdout); reductions run in their own lane on the\n"
       "  shared backend; --stats adds campaign=<name> breakdown lines on\n"
       "  stderr; every report is byte-identical to the campaign's solo\n"
       "  run (docs/scheduler.md)\n"
@@ -913,6 +930,9 @@ int main(int Argc, char **Argv) {
     }
     setCompileCloneEnabled(Mode == "on");
   }
+  // Every command prints the counters on request (or has none to
+  // print): --stats is never an unknown flag.
+  A.has("stats");
   // Campaign-time failures (the whole remote fleet unreachable, a
   // process pool that cannot fork) surface as exceptions from deep
   // inside a run; report them as errors, not as std::terminate.
@@ -933,8 +953,10 @@ int main(int Argc, char **Argv) {
       return cmdSched(A);
     if (A.Command == "worker")
       return cmdWorker(A);
-    if (A.Command == "configs")
+    if (A.Command == "configs") {
+      A.rejectUnread("flag", "--");
       return cmdConfigs();
+    }
   } catch (const UsageError &E) {
     std::fprintf(stderr, "clfuzz %s: %s\n", A.Command.c_str(), E.what());
     return 2;

@@ -13,6 +13,7 @@
 #include "minicl/ASTQueries.h"
 #include "minicl/Parser.h"
 #include "minicl/Sema.h"
+#include "oracle/Reducer.h"
 #include "opt/Pass.h"
 #include "support/Hash.h"
 #include "support/Metrics.h"
@@ -69,10 +70,10 @@ bool parseWitness(const TestCase &Witness, ASTContext &Ctx) {
 }
 
 /// One probe dispatcher over the reducer's exact backend idiom:
-/// column-grouped, prioritized when the scheduler shares its backend.
+/// column-grouped, on the scheduler's backend when it shares one.
 class ProbeRunner {
 public:
-  ProbeRunner(const TriageOptions &Opts) : Opts(Opts) {
+  ProbeRunner(const ReducerOptions &Opts) {
     Backend = Opts.Backend;
     if (!Backend) {
       Owned = makeBackend(Opts.Exec);
@@ -81,16 +82,10 @@ public:
   }
 
   std::vector<RunOutcome> run(const std::vector<ExecJob> &Jobs) {
-    std::vector<ExecColumn> Cols = groupIntoColumns(Jobs);
-    if (Opts.DispatchPriority != 0)
-      return Backend->runColumnsPrioritized(
-          Cols,
-          std::vector<unsigned>(Cols.size(), Opts.DispatchPriority));
-    return Backend->runColumns(Cols);
+    return Backend->runColumns(groupIntoColumns(Jobs));
   }
 
 private:
-  const TriageOptions &Opts;
   ExecBackend *Backend = nullptr;
   std::unique_ptr<ExecBackend> Owned;
 };
@@ -99,7 +94,7 @@ private:
 
 TriageResult clfuzz::triageWitness(const TestCase &Witness,
                                    const DeviceConfig &Config, bool Opt,
-                                   const TriageOptions &Opts) {
+                                   const ReducerOptions &Opts) {
   TriageResult R;
 
   // Pipeline names come from the same derivation the driver compiles

@@ -38,23 +38,7 @@
 
 namespace clfuzz {
 
-/// How triage dispatches its bisection probes — mirrors the reducer's
-/// scheduling knobs so `hunt --reduce --triage` reuses one wiring.
-struct TriageOptions {
-  /// Backend construction options when \p Backend is null (the solo
-  /// path; the scheduler instead shares its backend).
-  ExecOptions Exec;
-  /// Shared backend override (non-owning). When set, probes dispatch
-  /// through runColumnsPrioritized at \p DispatchPriority so triage
-  /// rides the priority lane and never starves foreground campaigns.
-  ExecBackend *Backend = nullptr;
-  /// 0 = plain runColumns; nonzero = prioritized dispatch.
-  unsigned DispatchPriority = 0;
-  /// Settings shared by every probe (PassMask is overridden per
-  /// probe). Must equal the hunt's run settings so the full-pipeline
-  /// probe is a cache hit of the campaign's original cell.
-  RunSettings Run;
-};
+struct ReducerOptions;
 
 /// The verdict for one witness.
 struct TriageResult {
@@ -91,10 +75,15 @@ struct TriageResult {
 
 /// Bisects and clusters one reduced witness that misbehaves on
 /// \p Config at \p Opt. Deterministic: equal inputs give equal
-/// results on every backend and cache state.
+/// results on every backend and cache state. The probes ride the
+/// reduction's scheduling: Opts.Backend when set (the scheduler's
+/// shared backend), else a backend built from Opts.Exec. Every probe
+/// runs with Opts.Run (PassMask overridden per probe), which must be
+/// the hunt's run settings so the full-pipeline probe is a cache hit
+/// of the campaign's original cell.
 TriageResult triageWitness(const TestCase &Witness,
                            const DeviceConfig &Config, bool Opt,
-                           const TriageOptions &Opts);
+                           const ReducerOptions &Opts);
 
 /// One human-readable line for a result (no label, no newline).
 std::string renderTriageLine(const TriageResult &R);

@@ -305,11 +305,10 @@ TEST(BackendConformanceTest, ProcsIsolatesACrashingJob) {
 }
 
 TEST(BackendConformanceTest, ProcsBatchedFramesMatchSerialReference) {
-  // A large cheap batch rides several jobs per worker frame (the
-  // adaptive batching path); results must still be keyed by submission
-  // index and identical to the serial reference, and a crash buried in
-  // the middle of a frame must fail only its own job - the batch
-  // neighbours retry alone and land on their true results.
+  // A large cheap batch streams through both children; results must
+  // still be keyed by submission index and identical to the serial
+  // reference, and a crash must fail only its own job - a neighbour
+  // stranded by it retries alone and lands on its true result.
   std::vector<DeviceConfig> Zoo = smallZoo();
   GenOptions GO;
   GO.Seed = 60001;

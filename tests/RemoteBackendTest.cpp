@@ -113,6 +113,40 @@ void expectSameOutcomes(const std::vector<RunOutcome> &A,
   }
 }
 
+/// A column payload of \p Cells cells of one kernel, base tag 42.
+std::vector<uint8_t> columnPayload(int Cells) {
+  static const TestCase T = [] {
+    GenOptions GO;
+    GO.Seed = 31416;
+    return TestCase::fromGenerated(generateKernel(GO));
+  }();
+  static const std::vector<DeviceConfig> Zoo = smallZoo();
+  ExecColumn Col;
+  for (int I = 0; I != Cells; ++I)
+    Col.Jobs.push_back(
+        ExecJob::onConfig(T, Zoo[I], I % 2 == 0, RunSettings()));
+  return wire::encodeColumn(42, Col);
+}
+
+/// A one-cell column payload whose cell count claims 2^32 - 1 cells.
+/// The one- and two-cell payloads first differ in the count's low byte.
+std::vector<uint8_t> overrunColumnPayload() {
+  std::vector<uint8_t> One = columnPayload(1), Two = columnPayload(2);
+  size_t At = 0;
+  while (One[At] == Two[At])
+    ++At;
+  for (size_t I = At; I != At + 4; ++I)
+    One[I] = 0xFF;
+  return One;
+}
+
+wire::Frame columnFrame(std::vector<uint8_t> Payload) {
+  wire::Frame F;
+  F.Type = wire::FrameType::Column;
+  F.Payload = std::move(Payload);
+  return F;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -222,6 +256,21 @@ TEST(RemoteBackendTest, MalformedFramesAreRejectedNotGuessed) {
     ::close(Fds[0]);
     ::close(Fds[1]);
   }
+  // Column payloads: a truncated frame, and one whose cell count
+  // overruns its payload, are rejected before anything is allocated
+  // for the cells they claim.
+  {
+    std::vector<uint8_t> Truncated = columnPayload(1);
+    Truncated.resize(Truncated.size() - 3);
+    EXPECT_THROW(wire::decodeColumn(columnFrame(Truncated)),
+                 std::runtime_error);
+    EXPECT_THROW(wire::decodeColumn(columnFrame(overrunColumnPayload())),
+                 std::runtime_error);
+    wire::DecodedColumn Whole =
+        wire::decodeColumn(columnFrame(columnPayload(2)));
+    EXPECT_EQ(Whole.BaseTag, 42u);
+    EXPECT_EQ(Whole.Column.Cells.size(), 2u);
+  }
   // Truncated mid-header is EOF (a torn connection, not an attack).
   {
     int Fds[2];
@@ -248,6 +297,27 @@ TEST(RemoteBackendTest, WorkerSurvivesAGarbageConnection) {
   uint8_t Byte;
   EXPECT_FALSE(wire::readFull(Fd, &Byte, 1)); // worker hung up
   ::close(Fd);
+
+  // A coordinator whose column frame is torn — truncated, or claiming
+  // more cells than it carries — is dropped as malformed-payload.
+  std::vector<uint8_t> Truncated = columnPayload(2);
+  Truncated.resize(Truncated.size() - 5);
+  for (const std::vector<uint8_t> &Bad : {Truncated, overrunColumnPayload()}) {
+    testing::internal::CaptureStderr();
+    Fd = wire::connectTcp("127.0.0.1", Server.port(), 2000);
+    ASSERT_GE(Fd, 0);
+    wire::Frame F;
+    ASSERT_TRUE(wire::writeFrame(Fd, wire::FrameType::Hello,
+                                 wire::encodeHello(wire::CacheGeneration)));
+    ASSERT_EQ(wire::readFrame(Fd, F), wire::ReadStatus::Ok);
+    ASSERT_EQ(F.Type, wire::FrameType::HelloAck);
+    ASSERT_TRUE(wire::writeFrame(Fd, wire::FrameType::Column, Bad));
+    EXPECT_FALSE(wire::readFull(Fd, &Byte, 1)); // worker hung up
+    ::close(Fd);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "reason=malformed-payload"),
+              std::string::npos);
+  }
 
   // ...and the server still serves a well-behaved coordinator.
   GenOptions GO;
@@ -422,6 +492,35 @@ TEST(RemoteBackendTest, WorkerDeathMidCampaignRequeuesInFlightJobs) {
   EXPECT_TRUE(W2.died()) << "fault injection never tripped";
   EXPECT_GE(W2.jobsExecuted(), 3u);
   expectSameOutcomes(Expected, Got, "kill mid-campaign");
+
+  // The same death mid-column. Each worker takes two whole 8-cell
+  // columns; worker 4 answers 3 cells of its first, then dies. Its
+  // answered cells stand and only the 13 unanswered ones are re-sent,
+  // so worker 3 runs every cell but those 3. One slot per worker
+  // keeps that count exact.
+  WorkerOptions DyingOne = loopbackWorker(1);
+  DyingOne.DieAfterJobs = 4;
+  WorkerServer W3(loopbackWorker(1)), W4(DyingOne);
+  ASSERT_TRUE(W3.start());
+  ASSERT_TRUE(W4.start());
+  std::vector<TestCase> Tests;
+  for (int C = 0; C != 6; ++C) {
+    GenOptions CG;
+    CG.Seed = 60100 + C;
+    Tests.push_back(TestCase::fromGenerated(generateKernel(CG)));
+  }
+  std::vector<ExecColumn> Cols(Tests.size());
+  for (size_t C = 0; C != Tests.size(); ++C)
+    for (int I = 0; I != 8; ++I)
+      Cols[C].Jobs.push_back(ExecJob::onConfig(
+          Tests[C], Zoo[I % Zoo.size()], I % 2 == 0, RunSettings()));
+
+  std::unique_ptr<ExecBackend> ColumnFleet =
+      makeRemoteBackend(remoteOpts({&W3, &W4}));
+  std::vector<RunOutcome> GotCols = ColumnFleet->runColumns(Cols);
+  EXPECT_TRUE(W4.died()) << "fault injection never tripped";
+  expectSameOutcomes(Reference.runColumns(Cols), GotCols, "kill mid-column");
+  EXPECT_EQ(W3.jobsExecuted(), 48u - 3u) << "an answered cell was re-sent";
 }
 
 TEST(RemoteBackendTest, WedgedWorkerIsEvictedByHeartbeat) {

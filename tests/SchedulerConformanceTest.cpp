@@ -177,52 +177,6 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Prioritized dispatch: a permutation layer, never an outcome change
-//===----------------------------------------------------------------------===//
-
-TEST(SchedulerConformanceTest, PrioritizedDispatchMatchesSubmissionOrder) {
-  std::vector<DeviceConfig> Zoo = buildConfigRegistry();
-  TestCase T = TestCase::fromGenerated(generateKernel(GenOptions()));
-  std::vector<ExecJob> Jobs;
-  for (int Id : {1, 12, 14, 19})
-    for (bool Opt : {false, true})
-      Jobs.push_back(
-          ExecJob::onConfig(T, configById(Zoo, Id), Opt, RunSettings()));
-  std::vector<ExecColumn> Cols = groupIntoColumns(Jobs);
-
-  for (ExecOptions O :
-       {ExecOptions::withBackend(BackendKind::Inline),
-        ExecOptions::withBackend(BackendKind::Threads, 3),
-        ExecOptions::withBackend(BackendKind::Procs, 2)}) {
-    std::unique_ptr<ExecBackend> B = makeBackend(O);
-    std::vector<RunOutcome> Ref = B->runColumns(Cols);
-    // Uniform, ascending, descending, mixed: the outcome vector must
-    // always come back in submission order.
-    std::vector<std::vector<unsigned>> PrioritySets;
-    PrioritySets.push_back(std::vector<unsigned>(Cols.size(), 7));
-    std::vector<unsigned> Asc, Desc, Mixed;
-    for (size_t I = 0; I != Cols.size(); ++I) {
-      Asc.push_back(static_cast<unsigned>(I));
-      Desc.push_back(static_cast<unsigned>(Cols.size() - I));
-      Mixed.push_back(static_cast<unsigned>((I * 7 + 3) % 5));
-    }
-    PrioritySets.push_back(Asc);
-    PrioritySets.push_back(Desc);
-    PrioritySets.push_back(Mixed);
-    for (const std::vector<unsigned> &P : PrioritySets) {
-      std::vector<RunOutcome> Got = B->runColumnsPrioritized(Cols, P);
-      ASSERT_EQ(Got.size(), Ref.size()) << describe(O);
-      for (size_t I = 0; I != Ref.size(); ++I) {
-        EXPECT_EQ(Got[I].Status, Ref[I].Status) << describe(O) << " " << I;
-        EXPECT_EQ(Got[I].OutputHash, Ref[I].OutputHash)
-            << describe(O) << " " << I;
-        EXPECT_EQ(Got[I].Message, Ref[I].Message) << describe(O) << " " << I;
-      }
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Policies
 //===----------------------------------------------------------------------===//
 
@@ -453,13 +407,11 @@ TEST(SchedulerConformanceTest, ReductionLaneMatchesSoloThreadedQueue) {
   ASSERT_NE(Want.find("reduced in the background"), std::string::npos);
 
   // Scheduled: reductions drain through the Reduction lane on the
-  // SHARED backend at elevated dispatch priority, interleaved with a
-  // second campaign.
+  // SHARED backend, interleaved with a second campaign.
   ExecOptions O = ExecOptions::withBackend(BackendKind::Threads, 2);
   std::unique_ptr<ExecBackend> B = makeBackend(O);
   HuntSpec SchedSpec = Spec;
   SchedSpec.ReduceOpts.Backend = B.get();
-  SchedSpec.ReduceOpts.DispatchPriority = 1;
   SchedSpec.ReduceWorkers = 0;
   std::FILE *FH = std::tmpfile(), *FD = std::tmpfile();
   HuntCampaign H =

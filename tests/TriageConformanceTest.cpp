@@ -139,8 +139,8 @@ TestCase paddedShiftKernel() {
       "}\n");
 }
 
-TriageOptions inlineTriage() {
-  TriageOptions TO;
+ReducerOptions inlineTriage() {
+  ReducerOptions TO;
   TO.Exec = ExecOptions::withBackend(BackendKind::Inline);
   return TO;
 }
@@ -268,14 +268,14 @@ TEST(TriageConformanceTest, ByteIdenticalAcrossBackendsAndCacheStates) {
                         std::to_string(Base.Threads) + "w";
     // Cache off.
     {
-      TriageOptions TO;
+      ReducerOptions TO;
       TO.Exec = Base;
       EXPECT_EQ(describeResult(triageWitness(T, C, false, TO)), Expected)
           << Where << " cache=off";
     }
     // In-memory cache.
     {
-      TriageOptions TO;
+      ReducerOptions TO;
       TO.Exec = Base;
       OutcomeCacheOptions CO;
       CO.Mode = CacheMode::Mem;
@@ -289,7 +289,7 @@ TEST(TriageConformanceTest, ByteIdenticalAcrossBackendsAndCacheStates) {
     {
       TempDir Dir;
       for (const char *Pass : {"cold", "warm"}) {
-        TriageOptions TO;
+        ReducerOptions TO;
         TO.Exec = Base;
         OutcomeCacheOptions CO;
         CO.Mode = CacheMode::Disk;
@@ -319,7 +319,7 @@ TEST(TriageConformanceTest, ClusteringIsStableOverHundredSeedSweep) {
 
   // Probes on tiny kernels are cheap; a shared in-memory cache keeps
   // the reference runs from repeating across the two configs.
-  TriageOptions TO = inlineTriage();
+  ReducerOptions TO = inlineTriage();
   OutcomeCacheOptions CO;
   CO.Mode = CacheMode::Mem;
   CO.KeySalt = cacheKeySalt(TO.Exec);
