@@ -43,7 +43,7 @@ void WireWriter::bytes(const std::vector<uint8_t> &B) {
 
 void WireReader::need(size_t N) const {
   if (static_cast<size_t>(End - P) < N)
-    throw std::runtime_error("truncated job frame");
+    throw std::runtime_error("truncated payload");
 }
 
 uint8_t WireReader::u8() {

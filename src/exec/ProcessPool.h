@@ -35,8 +35,9 @@
 /// (or a slice of one) from runColumns(), one cell from run() — so the
 /// parent only ever writes to an idle child and the pipes cannot
 /// deadlock. With a wall-clock deadline set, every frame is one cell,
-/// so the SIGKILL stays per cell. A cell whose worker dies or misses its deadline
-/// gets one retry, alone, on a fresh worker: an innocent cell stranded
+/// so the SIGKILL stays per cell — and each cell parses its kernel
+/// itself, without the column's shared front end or launch memo. A
+/// cell whose worker dies or misses its deadline gets one retry, alone, on a fresh worker: an innocent cell stranded
 /// by a column neighbour's crash (or an externally killed worker —
 /// OOM, operator) re-runs to its true result, while a genuinely
 /// crashing or runaway cell — deterministic like every cell — fails

@@ -18,8 +18,6 @@ const char *clfuzz::wire::frameTypeName(FrameType T) {
     return "hello";
   case FrameType::HelloAck:
     return "hello-ack";
-  case FrameType::Job:
-    return "job";
   case FrameType::Outcome:
     return "outcome";
   case FrameType::Heartbeat:
@@ -42,9 +40,10 @@ const char *clfuzz::wire::frameTypeName(FrameType T) {
 
 namespace {
 
+/// Type 3 (the retired v3 job frame) is reserved, not known.
 bool knownFrameType(uint8_t T) {
   return T >= static_cast<uint8_t>(FrameType::Hello) &&
-         T <= static_cast<uint8_t>(FrameType::Column);
+         T <= static_cast<uint8_t>(FrameType::Column) && T != 3;
 }
 
 } // namespace
@@ -81,24 +80,6 @@ uint32_t clfuzz::wire::decodeHelloAck(const Frame &F) {
   return Concurrency;
 }
 
-std::vector<uint8_t> clfuzz::wire::encodeJob(uint64_t Tag,
-                                             const ExecJob &Job) {
-  WireWriter W;
-  W.u64(Tag);
-  serializeExecJob(W, Job);
-  return W.buffer();
-}
-
-DecodedJob clfuzz::wire::decodeJob(const Frame &F) {
-  WireReader R(F.Payload.data(), F.Payload.size());
-  DecodedJob D;
-  D.Tag = R.u64();
-  D.Job = deserializeExecJob(R);
-  if (!R.atEnd())
-    throw std::runtime_error("trailing bytes in job frame");
-  return D;
-}
-
 std::vector<uint8_t> clfuzz::wire::encodeColumn(uint64_t BaseTag,
                                                 const ExecColumn &Col) {
   WireWriter W;
@@ -109,14 +90,6 @@ std::vector<uint8_t> clfuzz::wire::encodeColumn(uint64_t BaseTag,
 
 DecodedColumn clfuzz::wire::decodeColumn(const Frame &F) {
   DecodedColumn D;
-  if (F.Type == FrameType::Job) {
-    DecodedJob J = decodeJob(F);
-    D.BaseTag = J.Tag;
-    D.Column.Test = std::move(J.Job.Test);
-    D.Column.Cells.push_back({std::move(J.Job.Config), J.Job.Opt,
-                              J.Job.Settings});
-    return D;
-  }
   WireReader R(F.Payload.data(), F.Payload.size());
   D.BaseTag = R.u64();
   D.Column = deserializeExecColumn(R);

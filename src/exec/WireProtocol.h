@@ -75,7 +75,8 @@ constexpr size_t FrameHeaderSize = 12;
 enum class FrameType : uint8_t {
   Hello = 1,        ///< coordinator -> worker, first frame on a connection
   HelloAck = 2,     ///< worker -> coordinator: accepts, advertises slots
-  Job = 3,          ///< coordinator -> worker: tag + ExecJob descriptor
+  // 3 was the v3 job frame (tag + one ExecJob), superseded by Column;
+  // the number stays reserved and a v4 reader rejects it as unknown.
   Outcome = 4,      ///< worker -> coordinator: tag + RunOutcome
   Heartbeat = 5,    ///< coordinator -> worker: liveness probe (nonce)
   HeartbeatAck = 6, ///< worker -> coordinator: echoes the nonce
@@ -87,7 +88,7 @@ enum class FrameType : uint8_t {
   Column = 11,      ///< coordinator -> worker: base tag + ExecColumn
 };
 
-/// Printable name ("job", "outcome", ...), for diagnostics.
+/// Printable name ("column", "outcome", ...), for diagnostics.
 const char *frameTypeName(FrameType T);
 
 /// A parsed frame: validated header, raw payload bytes.
@@ -158,23 +159,13 @@ uint64_t decodeHello(const Frame &F);
 std::vector<uint8_t> encodeHelloAck(uint32_t Concurrency);
 uint32_t decodeHelloAck(const Frame &F);
 
-/// Job: u64 tag + serialized ExecJob. The tag is opaque to the worker
-/// and echoed verbatim on the outcome; the coordinator uses the job's
-/// submission index, which is how results reassemble in submission
-/// order whatever the completion order across workers.
-std::vector<uint8_t> encodeJob(uint64_t Tag, const ExecJob &Job);
-struct DecodedJob {
-  uint64_t Tag = 0;
-  OwnedExecJob Job;
-};
-DecodedJob decodeJob(const Frame &F);
-
 /// Column: u64 base tag + serialized ExecColumn (the test case once,
 /// then each cell's config, opt level and settings). Cell K is
-/// answered by one outcome frame tagged BaseTag + K; the coordinator
-/// uses the cell's index in its batch, so consecutive cells of a
-/// column have consecutive tags. decodeColumn also reads a job frame,
-/// as a column of one cell.
+/// answered by one outcome frame tagged BaseTag + K. Tags are opaque
+/// to the worker and echoed verbatim; the coordinator uses the cell's
+/// index in its batch, so consecutive cells of a column have
+/// consecutive tags and results reassemble in submission order
+/// whatever the completion order across workers.
 std::vector<uint8_t> encodeColumn(uint64_t BaseTag, const ExecColumn &Col);
 struct DecodedColumn {
   uint64_t BaseTag = 0;

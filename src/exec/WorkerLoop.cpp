@@ -365,8 +365,7 @@ void WorkerServer::serveConnection(Connection &Conn) {
       break;
     }
     try {
-      if (F.Type == wire::FrameType::Column ||
-          F.Type == wire::FrameType::Job) {
+      if (F.Type == wire::FrameType::Column) {
         wire::DecodedColumn Col = wire::decodeColumn(F);
         if (Opts.IgnoreJobs)
           continue; // the wedged-worker model: swallow it

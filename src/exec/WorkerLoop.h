@@ -23,7 +23,9 @@
 /// at a time, answer the cells the worker-side outcome cache knows,
 /// and run the rest as one column through a single-child
 /// ProcessPoolBackend (exec/ProcessPool.h) — one parse, one launch
-/// memo. Outcomes go back one frame per cell, tagged base tag + k, in
+/// memo, but only while ProcTimeoutMs is 0: with a deadline set the
+/// pool runs one cell per frame, so each cell parses alone and no
+/// launch is shared. Outcomes go back one frame per cell, tagged base tag + k, in
 /// whatever order the slots finish. Determinism is inherited
 /// wholesale: a cell descriptor is a pure function of its bytes
 /// (exec/JobSerialize.h), so where it runs is unobservable in

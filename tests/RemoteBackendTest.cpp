@@ -163,25 +163,38 @@ TEST(RemoteBackendTest, FramesRoundTripThroughAnFd) {
   std::vector<DeviceConfig> Registry = buildConfigRegistry();
   RunSettings RS;
   RS.SchedulerSeed = 7;
-  ExecJob Job = ExecJob::onConfig(T, configById(Registry, 12), true, RS);
+  ExecColumn Col;
+  Col.Jobs.push_back(ExecJob::onConfig(T, configById(Registry, 12), true, RS));
+  Col.Jobs.push_back(ExecJob::onConfig(T, configById(Registry, 12), false, RS));
+  Col.Jobs.push_back(ExecJob::onReference(T, false, RS));
 
-  ASSERT_TRUE(wire::writeFrame(Fds[1], wire::FrameType::Job,
-                               wire::encodeJob(42, Job)));
+  ASSERT_TRUE(wire::writeFrame(Fds[1], wire::FrameType::Column,
+                               wire::encodeColumn(42, Col)));
   wire::Frame F;
   ASSERT_EQ(wire::readFrame(Fds[0], F), wire::ReadStatus::Ok);
-  ASSERT_EQ(F.Type, wire::FrameType::Job);
-  wire::DecodedJob D = wire::decodeJob(F);
-  EXPECT_EQ(D.Tag, 42u);
-  EXPECT_EQ(D.Job.Test.Source, T.Source);
-  ASSERT_TRUE(D.Job.Config.has_value());
-  EXPECT_EQ(D.Job.Config->Id, 12);
+  ASSERT_EQ(F.Type, wire::FrameType::Column);
+  wire::DecodedColumn D = wire::decodeColumn(F);
+  EXPECT_EQ(D.BaseTag, 42u);
+  EXPECT_EQ(D.Column.Test.Source, T.Source);
+  ASSERT_EQ(D.Column.Cells.size(), 3u);
+  ASSERT_TRUE(D.Column.Cells[0].Config.has_value());
+  EXPECT_EQ(D.Column.Cells[0].Config->Id, 12);
+  EXPECT_TRUE(D.Column.Cells[0].Opt);
+  EXPECT_FALSE(D.Column.Cells[1].Opt);
+  EXPECT_EQ(D.Column.Cells[1].Settings.SchedulerSeed, 7u);
+  EXPECT_FALSE(D.Column.Cells[2].Config.has_value());
 
-  // The round-tripped job must execute identically: the tag travels,
-  // the descriptor stays pure.
-  RunOutcome A = runExecJob(Job);
-  RunOutcome B = runExecJob(D.Job.view());
-  EXPECT_EQ(A.Status, B.Status);
-  EXPECT_EQ(A.OutputHash, B.OutputHash);
+  // The round-tripped column must execute identically, cell by cell:
+  // the tag travels, the descriptors stay pure.
+  std::vector<RunOutcome> Want = runExecColumn(Col);
+  std::vector<RunOutcome> Got = runExecColumn(D.Column.view());
+  ASSERT_EQ(Want.size(), Got.size());
+  for (size_t K = 0; K != Want.size(); ++K) {
+    EXPECT_EQ(Want[K].Status, Got[K].Status) << "cell " << K;
+    EXPECT_EQ(Want[K].OutputHash, Got[K].OutputHash) << "cell " << K;
+    EXPECT_EQ(Want[K].Message, Got[K].Message) << "cell " << K;
+  }
+  RunOutcome A = Want[0];
 
   ASSERT_TRUE(wire::writeFrame(Fds[1], wire::FrameType::Outcome,
                                wire::encodeOutcome(42, A)));
@@ -245,7 +258,7 @@ TEST(RemoteBackendTest, MalformedFramesAreRejectedNotGuessed) {
     WireWriter W;
     W.u32(wire::FrameMagic);
     W.u8(wire::ProtocolVersion);
-    W.u8(static_cast<uint8_t>(wire::FrameType::Job));
+    W.u8(static_cast<uint8_t>(wire::FrameType::Column));
     W.u8(0);
     W.u8(0);
     W.u32(wire::MaxFramePayload + 1);
@@ -253,6 +266,26 @@ TEST(RemoteBackendTest, MalformedFramesAreRejectedNotGuessed) {
         wire::writeFull(Fds[1], W.buffer().data(), W.buffer().size()));
     wire::Frame F;
     EXPECT_EQ(wire::readFrame(Fds[0], F), wire::ReadStatus::Malformed);
+    ::close(Fds[0]);
+    ::close(Fds[1]);
+  }
+  // Type 3, the retired v3 job frame, is reserved: an unknown type.
+  {
+    int Fds[2];
+    ASSERT_EQ(::pipe(Fds), 0);
+    WireWriter W;
+    W.u32(wire::FrameMagic);
+    W.u8(wire::ProtocolVersion);
+    W.u8(3);
+    W.u8(0);
+    W.u8(0);
+    W.u32(0);
+    ASSERT_TRUE(
+        wire::writeFull(Fds[1], W.buffer().data(), W.buffer().size()));
+    wire::Frame F;
+    std::string Why;
+    EXPECT_EQ(wire::readFrame(Fds[0], F, &Why), wire::ReadStatus::Malformed);
+    EXPECT_EQ(Why, "unknown frame type");
     ::close(Fds[0]);
     ::close(Fds[1]);
   }
