@@ -125,7 +125,7 @@ static constexpr unsigned JoinHandshakeTimeoutMs = 2000;
 
 void FleetRegistry::acceptLoop() {
   for (;;) {
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
+    int Fd = wire::acceptTcp(ListenFd);
     if (Stopping.load()) {
       if (Fd >= 0)
         ::close(Fd);

@@ -287,6 +287,12 @@ bool clfuzz::wire::writeFrame(int Fd, FrameType Type,
   return writeFullNoSigpipe(Fd, Buf.data(), Buf.size());
 }
 
+/// Every fleet stream has Nagle off on both ends (see acceptTcp).
+static void setNoDelay(int Fd) {
+  int One = 1;
+  ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+}
+
 int clfuzz::wire::connectTcp(const std::string &Host, unsigned Port,
                              unsigned TimeoutMs) {
   struct addrinfo Hints = {};
@@ -323,14 +329,20 @@ int clfuzz::wire::connectTcp(const std::string &Host, unsigned Port,
     }
     if (RC == 0) {
       ::fcntl(Fd, F_SETFL, Flags);
-      int One = 1;
-      ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+      setNoDelay(Fd);
       break;
     }
     ::close(Fd);
     Fd = -1;
   }
   ::freeaddrinfo(Res);
+  return Fd;
+}
+
+int clfuzz::wire::acceptTcp(int ListenFd) {
+  int Fd = ::accept(ListenFd, nullptr, nullptr);
+  if (Fd >= 0)
+    setNoDelay(Fd);
   return Fd;
 }
 
@@ -400,6 +412,7 @@ bool clfuzz::wire::writeFrame(int, FrameType, const std::vector<uint8_t> &) {
 int clfuzz::wire::connectTcp(const std::string &, unsigned, unsigned) {
   return -1;
 }
+int clfuzz::wire::acceptTcp(int) { return -1; }
 void clfuzz::wire::setRecvTimeout(int, unsigned) {}
 int clfuzz::wire::listenTcp(const std::string &, unsigned, unsigned &) {
   return -1;

@@ -218,9 +218,16 @@ std::vector<uint8_t> encodeLeave();
 //===----------------------------------------------------------------------===//
 
 /// Connects to host:port with a bounded wait (non-blocking connect +
-/// poll). Returns the fd, or -1. TCP_NODELAY is set — frames are
-/// small and latency-sensitive.
+/// poll). Returns the fd, or -1. TCP_NODELAY is set, as on every
+/// fleet stream (see acceptTcp).
 int connectTcp(const std::string &Host, unsigned Port, unsigned TimeoutMs);
+
+/// Accepts one connection on a listenTcp socket. Returns the fd, or -1
+/// with errno from accept(). TCP_NODELAY is set: a unit is answered by
+/// one small frame per cell, and with Nagle on, each frame after the
+/// first would wait for the peer's delayed ACK (~40 ms). Every fleet
+/// stream is opened by connectTcp or acceptTcp, so both ends have it.
+int acceptTcp(int ListenFd);
 
 /// Arms (Ms > 0) or clears (Ms == 0) a receive timeout on the socket.
 /// A read that stalls past it fails like EOF, so a peer that dies

@@ -283,7 +283,7 @@ void WorkerServer::acceptLoop() {
       }
     }
 
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
+    int Fd = wire::acceptTcp(ListenFd);
     if (Stopping.load()) {
       if (Fd >= 0)
         ::close(Fd);
@@ -427,7 +427,9 @@ void WorkerServer::runnerLoop(Connection &Conn) {
       std::unique_lock<std::mutex> Lock(Conn.QueueMu);
       Conn.QueueCV.wait(Lock,
                         [&] { return Conn.Closing || !Conn.Queue.empty(); });
-      if (Conn.Queue.empty())
+      // A server that died (DieAfterJobs) takes no more work: its
+      // queued columns are the coordinator's to requeue.
+      if (Conn.Queue.empty() || Died.load())
         return;
       Work = std::move(Conn.Queue.front());
       Conn.Queue.pop_front();

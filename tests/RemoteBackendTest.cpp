@@ -33,8 +33,12 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
 
@@ -111,6 +115,32 @@ void expectSameOutcomes(const std::vector<RunOutcome> &A,
     EXPECT_EQ(A[I].Steps, B[I].Steps) << Ctx << " job " << I;
     EXPECT_EQ(A[I].OutputHead, B[I].OutputHead) << Ctx << " job " << I;
   }
+}
+
+/// Every connected TCP descriptor of this process (SOCK_STREAM, an
+/// AF_INET/AF_INET6 peer), paired with its TCP_NODELAY setting.
+std::vector<std::pair<int, int>> connectedTcpSockets() {
+  std::vector<std::pair<int, int>> Out;
+  long Max = std::min(::sysconf(_SC_OPEN_MAX), 65536L);
+  for (int Fd = 0; Fd < Max; ++Fd) {
+    int Type = 0;
+    socklen_t Len = sizeof(Type);
+    if (::getsockopt(Fd, SOL_SOCKET, SO_TYPE, &Type, &Len) != 0 ||
+        Type != SOCK_STREAM)
+      continue;
+    struct sockaddr_storage Peer = {};
+    socklen_t PeerLen = sizeof(Peer);
+    if (::getpeername(Fd, reinterpret_cast<struct sockaddr *>(&Peer),
+                      &PeerLen) != 0 ||
+        (Peer.ss_family != AF_INET && Peer.ss_family != AF_INET6))
+      continue;
+    int NoDelay = 0;
+    Len = sizeof(NoDelay);
+    if (::getsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &NoDelay, &Len) != 0)
+      NoDelay = -1;
+    Out.emplace_back(Fd, NoDelay);
+  }
+  return Out;
 }
 
 /// A column payload of \p Cells cells of one kernel, base tag 42.
@@ -554,6 +584,9 @@ TEST(RemoteBackendTest, WorkerDeathMidCampaignRequeuesInFlightJobs) {
   EXPECT_TRUE(W4.died()) << "fault injection never tripped";
   expectSameOutcomes(Reference.runColumns(Cols), GotCols, "kill mid-column");
   EXPECT_EQ(W3.jobsExecuted(), 48u - 3u) << "an answered cell was re-sent";
+  // Its first column is one execution; its second, queued behind it,
+  // is the coordinator's to requeue once the server is dead.
+  EXPECT_LE(W4.jobsExecuted(), 8u) << "a dead worker ran a queued column";
 }
 
 TEST(RemoteBackendTest, WedgedWorkerIsEvictedByHeartbeat) {
@@ -776,6 +809,42 @@ TEST(RemoteBackendTest, RendezvousOnlyFleetMatchesInline) {
   EXPECT_GT(W1.jobsExecuted() + W2.jobsExecuted(), 0u);
   // Once adopted, joined slots count toward the fleet's concurrency.
   EXPECT_EQ(Remote->concurrency(), 4u);
+}
+
+TEST(RemoteBackendTest, EveryFleetSocketHasNagleOff) {
+  // A unit is answered by one small frame per cell; with Nagle on at
+  // either end, each frame after the first waits for the peer's
+  // delayed ACK. So all four ends must have TCP_NODELAY: coordinator
+  // dial and worker accept (listen mode), worker dial and registry
+  // accept (rendezvous mode). Both fleets live in this process, so
+  // every end is one of its descriptors.
+  WorkerServer Listening(loopbackWorker(2));
+  ASSERT_TRUE(Listening.start());
+  std::shared_ptr<FleetRegistry> R = makeFleetRegistry("127.0.0.1", 0);
+  WorkerServer Joined(rendezvousWorker(R->port(), 2));
+  ASSERT_TRUE(Joined.start());
+  ASSERT_TRUE(waitUntil([&] { return Joined.joinsCompleted() == 1; }, 3000));
+
+  std::vector<DeviceConfig> Zoo = smallZoo();
+  GenOptions GO;
+  GO.Seed = 81003;
+  TestCase T = TestCase::fromGenerated(generateKernel(GO));
+  std::vector<ExecJob> Jobs = churnBatch(T, Zoo, 8);
+  std::vector<RunOutcome> Expected = InlineBackend().run(Jobs);
+
+  std::unique_ptr<ExecBackend> ListenFleet =
+      makeRemoteBackend(remoteOpts({&Listening}));
+  ExecOptions O;
+  O.Backend = BackendKind::Remote;
+  O.Fleet = R;
+  std::unique_ptr<ExecBackend> RendezvousFleet = makeRemoteBackend(O);
+  expectSameOutcomes(Expected, ListenFleet->run(Jobs), "listen mode");
+  expectSameOutcomes(Expected, RendezvousFleet->run(Jobs), "rendezvous");
+
+  std::vector<std::pair<int, int>> Socks = connectedTcpSockets();
+  EXPECT_GE(Socks.size(), 4u) << "both ends of both fleet connections";
+  for (const auto &[Fd, NoDelay] : Socks)
+    EXPECT_EQ(NoDelay, 1) << "fd " << Fd << " has Nagle on";
 }
 
 TEST(RemoteBackendTest, WorkerJoiningMidCampaignReceivesJobs) {
