@@ -21,8 +21,9 @@
 ///   --cache=M     off | mem | disk content-addressed outcome cache
 ///   --cache-dir=D disk store root (implies --cache=disk)
 ///   --cache-mem-mb=N  in-memory cache budget
-///   --triage-witnesses=N  witnesses the triage harness bisects
-///   --triage-opt  triage at the optimising level (default -O0)
+///
+/// An unknown flag, or a numeric value that is not a whole
+/// non-negative decimal integer, exits 2 naming the flag.
 ///
 /// Tables are bit-identical for every backend, worker count, shard
 /// size and cache mode; only wall-clock time and fault isolation
@@ -38,6 +39,7 @@
 #include "exec/RemoteBackend.h"
 #include "exec/ResultSink.h"
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -68,10 +70,6 @@ struct HarnessArgs {
   CacheMode Cache = CacheMode::Off;
   std::string CacheDir;
   unsigned CacheMemMb = 0;
-  /// Witness count for the triage harness (0 = harness default).
-  unsigned TriageWitnesses = 0;
-  /// Triage probes run at the optimising level instead of -O0.
-  bool TriageOpt = false;
 
   /// The ExecOptions a campaign settings struct should use.
   ExecOptions execOptions() const {
@@ -104,52 +102,59 @@ struct HarnessArgs {
 };
 
 inline HarnessArgs parseArgs(int Argc, char **Argv) {
+  const char *Slash = std::strrchr(Argv[0], '/');
+  const char *Harness = Slash ? Slash + 1 : Argv[0];
   HarnessArgs A;
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--full") == 0)
+    const std::string Arg = Argv[I];
+    const size_t Eq = Arg.find('=');
+    const std::string Key = Arg.substr(0, Eq);
+    const std::string V = Eq == std::string::npos ? "" : Arg.substr(Eq + 1);
+    auto Fail = [&](const std::string &Message) {
+      std::fprintf(stderr, "%s: %s\n", Harness, Message.c_str());
+      std::exit(2);
+    };
+    // The whole value must be a decimal integer no larger than Max, so
+    // the default Max lets every count narrow to unsigned.
+    auto Number = [&](uint64_t Max = UINT32_MAX) {
+      uint64_t N = 0;
+      auto [End, Ec] = std::from_chars(V.data(), V.data() + V.size(), N);
+      if (V.empty() || Ec != std::errc() || End != V.data() + V.size() ||
+          N > Max)
+        Fail("invalid value '" + V + "' for " + Key +
+             " (expected a non-negative integer)");
+      return N;
+    };
+    if (Arg == "--full") {
       A.Full = true;
-    else if (std::strncmp(Argv[I], "--kernels=", 10) == 0)
-      A.Kernels = static_cast<unsigned>(std::atoi(Argv[I] + 10));
-    else if (std::strncmp(Argv[I], "--seed=", 7) == 0)
-      A.Seed = static_cast<uint64_t>(std::atoll(Argv[I] + 7));
-    else if (std::strncmp(Argv[I], "--threads=", 10) == 0)
-      A.Threads = static_cast<unsigned>(std::atoi(Argv[I] + 10));
-    else if (std::strncmp(Argv[I], "--shard-size=", 13) == 0)
-      A.ShardSize = static_cast<unsigned>(std::atoi(Argv[I] + 13));
-    else if (std::strncmp(Argv[I], "--backend=", 10) == 0) {
-      if (!parseBackendKind(Argv[I] + 10, A.Backend)) {
-        std::fprintf(
-            stderr,
-            "unknown backend '%s' (inline, threads, procs, remote)\n",
-            Argv[I] + 10);
-        std::exit(2);
-      }
-    } else if (std::strncmp(Argv[I], "--workers=", 10) == 0) {
-      A.Workers = splitWorkerList(Argv[I] + 10);
-    } else if (std::strncmp(Argv[I], "--cache=", 8) == 0) {
-      if (!parseCacheMode(Argv[I] + 8, A.Cache)) {
-        std::fprintf(stderr, "unknown cache mode '%s' (off, mem, disk)\n",
-                     Argv[I] + 8);
-        std::exit(2);
-      }
-    } else if (std::strncmp(Argv[I], "--cache-dir=", 12) == 0) {
-      A.CacheDir = Argv[I] + 12;
+    } else if (Key == "--kernels") {
+      A.Kernels = Number();
+    } else if (Key == "--seed") {
+      A.Seed = Number(UINT64_MAX);
+    } else if (Key == "--threads") {
+      A.Threads = Number();
+    } else if (Key == "--shard-size") {
+      A.ShardSize = Number();
+    } else if (Key == "--backend") {
+      if (!parseBackendKind(V, A.Backend))
+        Fail("unknown backend '" + V + "' (inline, threads, procs, remote)");
+    } else if (Key == "--workers") {
+      A.Workers = splitWorkerList(V);
+    } else if (Key == "--cache") {
+      if (!parseCacheMode(V, A.Cache))
+        Fail("unknown cache mode '" + V + "' (off, mem, disk)");
+    } else if (Key == "--cache-dir") {
+      A.CacheDir = V;
       if (A.Cache == CacheMode::Off)
         A.Cache = CacheMode::Disk;
-    } else if (std::strncmp(Argv[I], "--cache-mem-mb=", 15) == 0) {
-      A.CacheMemMb = static_cast<unsigned>(std::atoi(Argv[I] + 15));
-    } else if (std::strncmp(Argv[I], "--triage-witnesses=", 19) == 0) {
-      A.TriageWitnesses = static_cast<unsigned>(std::atoi(Argv[I] + 19));
-    } else if (std::strcmp(Argv[I], "--triage-opt") == 0) {
-      A.TriageOpt = true;
-    } else if (std::strncmp(Argv[I], "--format=", 9) == 0) {
-      if (!parseTableFormat(Argv[I] + 9, A.Format)) {
-        std::fprintf(stderr, "unknown format '%s' (text, csv, json)\n",
-                     Argv[I] + 9);
-        std::exit(2);
-      }
-    } else
-      std::fprintf(stderr, "warning: unknown argument '%s'\n", Argv[I]);
+    } else if (Key == "--cache-mem-mb") {
+      A.CacheMemMb = Number();
+    } else if (Key == "--format") {
+      if (!parseTableFormat(V, A.Format))
+        Fail("unknown format '" + V + "' (text, csv, json)");
+    } else {
+      Fail("unknown flag '" + Arg + "'");
+    }
   }
   return A;
 }

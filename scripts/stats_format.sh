@@ -24,14 +24,14 @@ fi
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
-# check NAME GOLDEN CLFUZZ-ARGS...: the interpreter and front-end
-# tuning is pinned (flag and environment) so the tag values in the
-# vm/compile lines do not follow the host.
+# check NAME GOLDEN CLFUZZ-ARGS...: the interpreter tuning is pinned
+# (flag and environment) so the tag values in the vm line do not
+# follow the host.
 check() {
   local Name="$1" Golden="$2"
   shift 2
   echo "== $Name"
-  env -u CLFUZZ_VM_DISPATCH -u CLFUZZ_VM_FUSE -u CLFUZZ_COMPILE_CLONE \
+  env -u CLFUZZ_VM_DISPATCH -u CLFUZZ_VM_FUSE \
     "$CLFUZZ" "$@" --vm-dispatch=switch --stats \
     > /dev/null 2> "$WORK/$Name.err"
   sed 's/=[0-9][0-9]*/=N/g' "$WORK/$Name.err" > "$WORK/$Name.norm"

@@ -19,10 +19,8 @@
 #include "vm/VM.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <unordered_map>
@@ -297,12 +295,13 @@ RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
   // mutates the AST deep-clone it instead — structurally identical to
   // what a re-parse would build, so outputs are byte-identical — and
   // hand the private copy to the PassManager, leaving the shared AST
-  // pristine for the other cells of the column.
+  // pristine for the other cells of the column. A cell run on its own
+  // (runExecJob) parses and checks its source here.
   bool PipelineEmpty = pipelineIsEmpty(Bugs, RunOptimizer);
   ASTContext OwnCtx;
   std::unique_ptr<ASTContext> ClonedCtx;
   ASTContext *CtxPtr = nullptr;
-  if (SharedFE && (PipelineEmpty || compileCloneEnabled())) {
+  if (SharedFE) {
     if (!SharedFE->ok()) {
       Out.Status = RunStatus::BuildFailure;
       Out.Message = SharedFE->diagnostics();
@@ -495,29 +494,7 @@ TestFrontEnd::~TestFrontEnd() = default;
 TestFrontEnd::TestFrontEnd(TestFrontEnd &&) noexcept = default;
 TestFrontEnd &TestFrontEnd::operator=(TestFrontEnd &&) noexcept = default;
 
-namespace {
-
-/// -1 = unresolved (consult the environment once), else 0/1.
-std::atomic<int> GCloneMode{-1};
-
-} // namespace
-
-bool clfuzz::compileCloneEnabled() {
-  int Mode = GCloneMode.load(std::memory_order_relaxed);
-  if (Mode < 0) {
-    Mode = 1;
-    if (const char *Env = std::getenv("CLFUZZ_COMPILE_CLONE"))
-      if (std::strcmp(Env, "0") == 0 || std::strcmp(Env, "off") == 0 ||
-          std::strcmp(Env, "false") == 0)
-        Mode = 0;
-    GCloneMode.store(Mode, std::memory_order_relaxed);
-  }
-  return Mode != 0;
-}
-
-void clfuzz::setCompileCloneEnabled(bool Enabled) {
-  GCloneMode.store(Enabled ? 1 : 0, std::memory_order_relaxed);
-}
+bool clfuzz::compileCloneEnabled() { return true; }
 
 FrontEndUse clfuzz::frontEndUseFor(const DeviceConfig *Config,
                                    bool OptEnabled) {
@@ -530,10 +507,7 @@ FrontEndUse clfuzz::frontEndUseFor(const DeviceConfig *Config,
     bool RunOptimizer = OptEnabled && !Config->NoOptimizer;
     Empty = pipelineIsEmpty(Config->bugs(OptEnabled), RunOptimizer);
   }
-  if (Empty)
-    return FrontEndUse::ReadShared;
-  return compileCloneEnabled() ? FrontEndUse::ClonePrivate
-                               : FrontEndUse::Reparse;
+  return Empty ? FrontEndUse::ReadShared : FrontEndUse::ClonePrivate;
 }
 
 RunOutcome clfuzz::runTestOnConfig(const TestCase &Test,

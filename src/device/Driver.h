@@ -133,9 +133,8 @@ private:
   std::string Diags;
 };
 
-/// How a cell consumes a shared TestFrontEnd. The single admission
-/// rule for column execution and the driver (they must agree, so it
-/// lives in exactly one helper).
+/// How a cell consumes a shared TestFrontEnd: the admission rule of
+/// the driver, stated once so tests can count what it admits.
 enum class FrontEndUse : uint8_t {
   /// The cell's pass pipeline is empty: codegen and the front-end
   /// defect checks only read, so the cell uses the shared AST as-is.
@@ -143,22 +142,17 @@ enum class FrontEndUse : uint8_t {
   /// The pipeline mutates the AST: the cell deep-clones the shared
   /// front end and hands the private copy to the PassManager.
   ClonePrivate,
-  /// Clone-based sharing is disabled (compileCloneEnabled() == false)
-  /// and the pipeline is non-empty: the cell re-parses the source —
-  /// the pre-clone behaviour, kept as a byte-identity baseline.
-  Reparse,
 };
 
 /// The admission rule for a run of \p Config (null = reference) at
 /// \p OptEnabled against a shared TestFrontEnd.
 FrontEndUse frontEndUseFor(const DeviceConfig *Config, bool OptEnabled);
 
-/// Process-wide clone-don't-reparse toggle, resolved once from
-/// `CLFUZZ_COMPILE_CLONE=0|off|false` (default on) unless overridden
-/// (the `--compile-clone=` flag, conformance tests). Output is
-/// byte-identical either way; off restores the per-cell re-parse.
+/// Always true: every column shares one front end. Kept only because
+/// e2ebench records it in its result line, as the `--stats` compile
+/// line keeps its constant ` compile_clone=on` key for the
+/// stats_format goldens; both go with the next benchmark revision.
 bool compileCloneEnabled();
-void setCompileCloneEnabled(bool Enabled);
 
 /// Runs each distinct kernel launch of one campaign column once. On a
 /// given kernel most configurations' bug models never fire, so most

@@ -82,9 +82,8 @@ clfuzz::groupIntoColumns(const std::vector<ExecJob> &Jobs) {
 std::vector<RunOutcome> clfuzz::runExecColumn(const ExecColumn &Column) {
   std::vector<RunOutcome> Out;
   Out.reserve(Column.Jobs.size());
-  // Built on the first admissible cell; with cloning disabled, columns
-  // whose every cell runs the optimiser (or an AST-mutating bug pass)
-  // never pay the parse.
+  // Built on the first cell that reaches the driver, so a column of
+  // fault-injection cells never pays the parse.
   std::unique_ptr<TestFrontEnd> FE;
   // Most cells of a column launch the same bytecode on the same inputs
   // (their configurations' bug models did not fire): each distinct
@@ -112,18 +111,14 @@ std::vector<RunOutcome> clfuzz::runExecColumn(const ExecColumn &Column) {
       Out.push_back(runExecJob(J));
       continue;
     }
-    const TestFrontEnd *Shared = nullptr;
-    if (frontEndUseFor(J.Config, J.Opt) != FrontEndUse::Reparse) {
-      if (!FE)
-        FE = std::make_unique<TestFrontEnd>(*J.Test);
-      Shared = FE.get();
-    }
+    if (!FE)
+      FE = std::make_unique<TestFrontEnd>(*J.Test);
     LaunchMemo *CellMemo = MayRepeatLaunch(J.Settings) ? &Memo : nullptr;
     Out.push_back(J.Config
                       ? runTestOnConfig(*J.Test, *J.Config, J.Opt,
-                                        J.Settings, Shared, CellMemo)
+                                        J.Settings, FE.get(), CellMemo)
                       : runTestOnReference(*J.Test, J.Opt, J.Settings,
-                                           Shared, CellMemo));
+                                           FE.get(), CellMemo));
   }
   return Out;
 }

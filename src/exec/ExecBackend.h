@@ -76,7 +76,7 @@ namespace clfuzz {
 enum class BackendKind : uint8_t {
   Inline,  ///< serial, on the calling thread
   Threads, ///< ThreadPoolBackend (Threads == 1 is serial)
-  Procs,   ///< fork/exec-style process pool; crashes are isolated
+  Procs,   ///< forked process pool; crashes are isolated
   Remote,  ///< socket-fed `clfuzz worker` fleet (exec/RemoteBackend.h)
 };
 
@@ -209,10 +209,10 @@ struct ExecColumn {
 std::vector<ExecColumn> groupIntoColumns(const std::vector<ExecJob> &Jobs);
 
 /// Executes one column on the calling thread, sharing a lazily built
-/// TestFrontEnd across the cells frontEndUseFor admits (read or
-/// clone) and a LaunchMemo across its cells, so each distinct launch
-/// runs once (fault-injection cells bypass both). Outcomes are in job
-/// order and byte-identical to per-cell runExecJob calls.
+/// TestFrontEnd across its cells (each reads or clones it, see
+/// frontEndUseFor) and a LaunchMemo, so each distinct launch runs once
+/// (fault-injection cells bypass both). Outcomes are in job order and
+/// byte-identical to per-cell runExecJob calls, which parse per cell.
 std::vector<RunOutcome> runExecColumn(const ExecColumn &Column);
 
 

@@ -26,18 +26,6 @@ using namespace clfuzz;
 static_assert(wire::CacheGeneration == OutcomeCache::FormatVersion,
               "hello cache generation must track the cache format version");
 
-const char *clfuzz::cacheModeName(CacheMode M) {
-  switch (M) {
-  case CacheMode::Off:
-    return "off";
-  case CacheMode::Mem:
-    return "mem";
-  case CacheMode::Disk:
-    return "disk";
-  }
-  return "?";
-}
-
 bool clfuzz::parseCacheMode(const std::string &Name, CacheMode &Out) {
   if (Name == "off")
     Out = CacheMode::Off;

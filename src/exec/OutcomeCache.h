@@ -63,8 +63,6 @@ enum class CacheMode : uint8_t {
   Disk, ///< memory LRU backed by a persistent per-entry file store
 };
 
-/// Printable name ("off" / "mem" / "disk").
-const char *cacheModeName(CacheMode M);
 /// Parses a --cache= value; returns false on an unknown name.
 bool parseCacheMode(const std::string &Name, CacheMode &Out);
 

@@ -129,12 +129,16 @@ private:
     // Lazy spawn: campaigns that stay on one backend never pay for the
     // others, and forking on the first batch keeps the child free of
     // inherited thread state (campaigns and reductions both run their
-    // first batch before starting any helper thread). Mid-run respawns
-    // can fork while helper threads are allocating; that is safe on the
-    // platforms this backend compiles for because glibc/libSystem make
-    // malloc consistent across fork, and a child only ever runs
-    // childMain's self-contained read/run/write loop. A lane whose
-    // respawn failed earlier is retried here.
+    // first batch before starting any helper thread). Mid-run respawns,
+    // and every pool a WorkerServer slot spawns, fork from a process
+    // that already runs other threads. The child only runs childMain's
+    // read/run/write loop, but it inherits every lock as it stood at
+    // the fork: glibc makes malloc's locks consistent across fork, but
+    // no other lock, and not those of a sanitizer runtime. A child
+    // forked while another thread held one blocks forever; that is the
+    // known stall of the fleet suites under TSan and ASan (ROADMAP,
+    // "Fork-free pool workers"). A lane whose respawn failed earlier
+    // is retried here.
     Lanes.resize(NumWorkers);
     for (PipeLane &L : Lanes)
       if (!L.alive())

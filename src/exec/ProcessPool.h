@@ -36,12 +36,14 @@
 /// parent only ever writes to an idle child and the pipes cannot
 /// deadlock. With a wall-clock deadline set, every frame is one cell,
 /// so the SIGKILL stays per cell — and each cell parses its kernel
-/// itself, without the column's shared front end or launch memo. A
-/// cell whose worker dies or misses its deadline gets one retry, alone, on a fresh worker: an innocent cell stranded
-/// by a column neighbour's crash (or an externally killed worker —
-/// OOM, operator) re-runs to its true result, while a genuinely
-/// crashing or runaway cell — deterministic like every cell — fails
-/// the retry too and is recorded as a Crash or Timeout.
+/// itself, without the column's shared front end or launch memo.
+///
+/// A cell whose worker dies or misses its deadline gets one retry,
+/// alone, on a fresh worker. An innocent cell stranded by a column
+/// neighbour's crash (or by an externally killed worker: OOM, an
+/// operator) re-runs to its true result. A genuinely crashing or
+/// runaway cell is deterministic like every cell, so it fails the
+/// retry too and is recorded as a Crash or Timeout.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -53,10 +53,8 @@
 ///                                    codegen/exec counts and ns)
 ///
 /// Every command also accepts --vm-dispatch=switch|goto to pick the
-/// interpreter's dispatch strategy (docs/vm.md) and
-/// --compile-clone=on|off to toggle clone-based front-end sharing
-/// (docs/compile-pipeline.md); output is byte-identical either way,
-/// only wall-clock speed changes.
+/// interpreter's dispatch strategy (docs/vm.md); output is
+/// byte-identical either way, only wall-clock speed changes.
 ///
 /// Triage (src/triage/, docs/triage.md) is post-reduction analysis:
 /// `hunt --reduce --triage` bisects each reduced witness over the
@@ -366,7 +364,7 @@ void applyCacheOptions(const CliArgs &A, ExecOptions &Opts) {
 /// tagged with the campaign it covers (`campaign=hunt`, or the
 /// per-campaign names under `clfuzz sched`; `campaign=total` sums a
 /// sched run). The vm line leads with the dispatch strategy, the
-/// compile line with the front-end sharing mode and ends with the
+/// compile line with a constant compile_clone=on and ends with the
 /// derived compile_total_ns (the per-phase nanoseconds summed). The
 /// same formatter serves the global counters and the scheduler's
 /// per-campaign deltas, so the per-campaign lines sum field by field
@@ -382,8 +380,7 @@ void printStatsLines(const char *Campaign, const MetricsSnapshot &S) {
       Line += std::string(" vm_dispatch=") +
               vmDispatchName(vmDispatchMode());
     if (Family == CounterFamily::Compile)
-      Line += compileCloneEnabled() ? " compile_clone=on"
-                                    : " compile_clone=off";
+      Line += " compile_clone=on";
     for (size_t I = 0; I != NumCounters; ++I)
       if (CounterTable[I].Family == Family)
         Line += std::string(" ") + CounterTable[I].Key + "=" +
@@ -896,9 +893,8 @@ int usage() {
       "  stale cache generation in the first N joins)\n"
       "all commands: --vm-dispatch=switch|goto interpreter dispatch\n"
       "  strategy (byte-identical output, wall-clock only; docs/vm.md);\n"
-      "  --compile-clone=on|off clone-don't-reparse front-end sharing\n"
-      "  (byte-identical output, wall-clock only; docs/compile-pipeline.md);\n"
-      "  --stats adds vm_* and compile_* counter lines on stderr\n");
+      "  --stats adds vm_* and compile_* counter lines on stderr; a flag\n"
+      "  the command does not read is an error (exit 2)\n");
   return 2;
 }
 
@@ -917,18 +913,6 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     setVmDispatchMode(D);
-  }
-  // Front-end sharing tuning, same contract as --vm-dispatch: output
-  // is byte-identical on or off, only wall-clock speed changes. The
-  // flag wins over the CLFUZZ_COMPILE_CLONE environment variable.
-  if (A.has("compile-clone")) {
-    std::string Mode = A.get("compile-clone");
-    if (Mode != "on" && Mode != "off") {
-      std::fprintf(stderr, "unknown compile-clone mode '%s' (use on or off)\n",
-                   Mode.c_str());
-      return 1;
-    }
-    setCompileCloneEnabled(Mode == "on");
   }
   // Every command prints the counters on request (or has none to
   // print): --stats is never an unknown flag.

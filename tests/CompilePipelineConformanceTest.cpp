@@ -1,4 +1,4 @@
-//===- CompilePipelineConformanceTest.cpp - Clone-don't-reparse identity -----===//
+//===- CompilePipelineConformanceTest.cpp - Parse-once identity ----------===//
 //
 // Part of the clfuzz project: a reproduction of "Many-Core Compiler
 // Fuzzing" (PLDI 2015).
@@ -7,14 +7,17 @@
 //
 // The parse-once/clone-per-cell front end (docs/compile-pipeline.md)
 // is only admissible because it is observationally invisible: a cell
-// compiled from a cloned AST must produce byte-for-byte the outcome a
-// per-cell re-parse produces, for every backend, worker count, cache
-// state and campaign shape. This suite pins that contract — clone
-// structural identity via re-printing, column byte-identity across
-// clone on/off × {inline, threads, procs} × {cache off, mem}, the
-// Table 1/4/5 campaign drivers and the reducer under both modes — and
-// the per-phase compile profiler's sanity (clone count equals the
-// optimising-cell count, phase times sum exactly to the total).
+// compiled from a column's shared front end must produce byte for
+// byte the outcome of the same cell run on its own (runExecJob), which
+// parses and checks its source afresh — the path of every batch that
+// is not a column (the generator prefilter, EMI base probes). This
+// suite pins that contract over every registry configuration at both
+// opt levels: clone structural identity via re-printing, the
+// admission rule cell by cell, columns against fresh parses ×
+// {inline, threads, procs} × {cache off, mem}, the Table 1/4/5
+// campaign cubes and the reducer — and the per-phase compile
+// profiler's arithmetic (one parse per column, one clone per
+// optimising cell, phase times sum exactly to the total).
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +26,9 @@
 #include "device/Driver.h"
 #include "exec/ExecBackend.h"
 #include "exec/OutcomeCache.h"
+#include "exec/Pipeline.h"
+#include "exec/ResultSink.h"
+#include "exec/TestSource.h"
 #include "gen/Generator.h"
 #include "minicl/AST.h"
 #include "minicl/ASTClone.h"
@@ -30,6 +36,7 @@
 #include "minicl/Printer.h"
 #include "minicl/Sema.h"
 #include "oracle/Campaign.h"
+#include "oracle/Oracle.h"
 #include "oracle/Reducer.h"
 #include "support/Diag.h"
 #include "vm/VM.h"
@@ -37,6 +44,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -46,15 +54,17 @@ using namespace clfuzz;
 
 namespace {
 
-/// Saves and restores the process-wide clone toggle so a failing
-/// assertion cannot leak a mode into unrelated tests.
-class CompilePipelineTest : public ::testing::Test {
-protected:
-  void SetUp() override { SavedClone = compileCloneEnabled(); }
-  void TearDown() override { setCompileCloneEnabled(SavedClone); }
-
-private:
-  bool SavedClone = true;
+/// Runs every cell on its own (InlineBackend::run, one runExecJob per
+/// cell), so each one parses and checks its source: the reference the
+/// shared front end must match. runColumns is the base class's
+/// flatten-and-run().
+class FreshParseBackend final : public ExecBackend {
+public:
+  BackendKind kind() const override { return BackendKind::Inline; }
+  unsigned concurrency() const override { return 1; }
+  std::vector<RunOutcome> run(const std::vector<ExecJob> &Jobs) override {
+    return InlineBackend().run(Jobs);
+  }
 };
 
 GeneratedKernel generate(GenMode Mode, uint64_t Seed,
@@ -66,29 +76,27 @@ GeneratedKernel generate(GenMode Mode, uint64_t Seed,
   return generateKernel(GO);
 }
 
-/// The column workload every identity test shares: per kernel, every
-/// above-threshold configuration contributes the full Table-1 cell
-/// set (shared reference run, configuration at both opt levels), and
-/// EMI kernels add the InvertDead placement probe (§7.4).
+/// The column workload the identity and counter tests share: per
+/// kernel, the reference run at both opt levels and every registry
+/// configuration at both opt levels, and EMI kernels add the
+/// InvertDead placement probe (§7.4).
 struct Workload {
   std::vector<TestCase> Tests;
-  std::vector<DeviceConfig> Columns;
+  std::vector<DeviceConfig> Configs = buildConfigRegistry();
   std::vector<ExecJob> Jobs;
 };
 
 Workload buildWorkload() {
   Workload W;
-  std::vector<DeviceConfig> Registry = buildConfigRegistry();
-  for (int Id : paperAboveThresholdIds())
-    W.Columns.push_back(configById(Registry, Id));
   W.Tests.push_back(TestCase::fromGenerated(generate(GenMode::All, 7)));
   W.Tests.push_back(TestCase::fromGenerated(generate(GenMode::Barrier, 5)));
   W.Tests.push_back(
       TestCase::fromGenerated(generate(GenMode::All, 11, /*EmiBlocks=*/2)));
-  for (size_t T = 0; T != W.Tests.size(); ++T)
-    for (const DeviceConfig &C : W.Columns) {
-      RunSettings S;
-      W.Jobs.push_back(ExecJob::onReference(W.Tests[T], false, S));
+  for (size_t T = 0; T != W.Tests.size(); ++T) {
+    RunSettings S;
+    W.Jobs.push_back(ExecJob::onReference(W.Tests[T], false, S));
+    W.Jobs.push_back(ExecJob::onReference(W.Tests[T], true, S));
+    for (const DeviceConfig &C : W.Configs) {
       W.Jobs.push_back(ExecJob::onConfig(W.Tests[T], C, false, S));
       W.Jobs.push_back(ExecJob::onConfig(W.Tests[T], C, true, S));
       if (T == 2) {
@@ -98,6 +106,7 @@ Workload buildWorkload() {
         W.Jobs.push_back(ExecJob::onConfig(W.Tests[T], C, true, Inv));
       }
     }
+  }
   return W;
 }
 
@@ -128,37 +137,116 @@ std::vector<RunOutcome> runWorkload(const Workload &W, BackendKind Kind,
   return Backend->runColumns(groupIntoColumns(W.Jobs));
 }
 
+std::vector<RunOutcome> runFreshParse(const std::vector<ExecJob> &Jobs) {
+  return FreshParseBackend().runColumns(groupIntoColumns(Jobs));
+}
+
+/// Records every outcome of a campaign, test by test.
+class RecordingSink final : public ResultSink {
+public:
+  void consumeTest(size_t, const TestCase &,
+                   const std::vector<RunOutcome> &Outcomes) override {
+    All.insert(All.end(), Outcomes.begin(), Outcomes.end());
+  }
+  std::vector<RunOutcome> All;
+};
+
+/// One mode of the differential cube over \p Configs, streamed the way
+/// runDifferentialCampaign streams it, on \p Backend: every cell's
+/// outcome, test by test in cellKeys() order.
+std::vector<RunOutcome> cubeOutcomes(const std::vector<DeviceConfig> &Configs,
+                                     GenMode Mode, const CampaignSettings &S,
+                                     ExecBackend &Backend) {
+  const DeviceConfig *Config1 = nullptr;
+  for (const DeviceConfig &C : Configs)
+    if (C.Id == 1)
+      Config1 = &C;
+  GeneratorSource Source(Mode, S.BaseGen,
+                         S.SeedBase + static_cast<uint64_t>(Mode) * 1000003ULL,
+                         S.KernelsPerMode, S.PrefilterOnConfig1, Config1,
+                         S.Run, Backend);
+  RecordingSink Sink;
+  runShardedCampaign(Source, Backend, S.Exec.resolvedShardSize(),
+                     cubeExpander(Configs, S.Run), Sink);
+  return Sink.All;
+}
+
+/// Checks, mode by mode, that the shared front end and fresh parses
+/// give every cube cell the same outcome, and that the driver's table
+/// is the majority vote over the fresh-parse outcomes.
+void expectCubeMatchesFreshParse(const std::vector<DeviceConfig> &Configs,
+                                 const std::vector<GenMode> &Modes,
+                                 const CampaignSettings &S) {
+  std::vector<ModeTable> Driver = runDifferentialCampaign(Configs, Modes, S);
+  ASSERT_EQ(Driver.size(), Modes.size());
+  std::vector<ConfigKey> Keys = cellKeys(Configs);
+  for (size_t M = 0; M != Modes.size(); ++M) {
+    InlineBackend Inline;
+    FreshParseBackend Fresh;
+    std::vector<RunOutcome> Shared = cubeOutcomes(Configs, Modes[M], S, Inline);
+    std::vector<RunOutcome> Parsed = cubeOutcomes(Configs, Modes[M], S, Fresh);
+    std::string Ctx = genModeName(Modes[M]);
+    expectSameOutcomes(Parsed, Shared, Ctx);
+
+    ASSERT_EQ(Parsed.size(), Driver[M].NumTests * Keys.size()) << Ctx;
+    std::map<ConfigKey, OutcomeCounts> Cells;
+    for (size_t T = 0; T != Parsed.size(); T += Keys.size()) {
+      std::vector<RunOutcome> Test(Parsed.begin() + T,
+                                   Parsed.begin() + T + Keys.size());
+      std::vector<Verdict> Verdicts = classifyAgainstMajority(Test);
+      for (size_t I = 0; I != Keys.size(); ++I)
+        Cells[Keys[I]].add(Verdicts[I]);
+    }
+    ASSERT_EQ(Driver[M].Cells.size(), Cells.size()) << Ctx;
+    for (const auto &[Key, Got] : Driver[M].Cells) {
+      const OutcomeCounts &Want = Cells[Key];
+      std::string Cell = Ctx + " " + cellLabel(Key);
+      EXPECT_EQ(Got.W, Want.W) << Cell;
+      EXPECT_EQ(Got.BF, Want.BF) << Cell;
+      EXPECT_EQ(Got.C, Want.C) << Cell;
+      EXPECT_EQ(Got.TO, Want.TO) << Cell;
+      EXPECT_EQ(Got.Pass, Want.Pass) << Cell;
+    }
+  }
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
 // Admission rule
 //===----------------------------------------------------------------------===//
 
-TEST_F(CompilePipelineTest, AdmissionRuleMatchesToggle) {
+TEST(CompilePipelineTest, AdmissionRuleMatchesFreshParse) {
   // Reference runs: the clean bug model's pipeline is empty exactly
   // when the optimiser is off.
-  setCompileCloneEnabled(true);
   EXPECT_EQ(frontEndUseFor(nullptr, false), FrontEndUse::ReadShared);
   EXPECT_EQ(frontEndUseFor(nullptr, true), FrontEndUse::ClonePrivate);
-  setCompileCloneEnabled(false);
-  EXPECT_EQ(frontEndUseFor(nullptr, false), FrontEndUse::ReadShared);
-  EXPECT_EQ(frontEndUseFor(nullptr, true), FrontEndUse::Reparse);
 
-  // Across the zoo: the toggle only ever converts ClonePrivate cells
-  // to Reparse — pass-free cells read the shared AST either way, so
-  // turning the clone off never admits or evicts a shared reader.
+  // Cell by cell across the zoo: a one-cell column parses once and
+  // clones exactly when the rule says so, the same cell run on its own
+  // parses once and never clones, both run the optimiser alike, and
+  // both give the same outcome.
+  TestCase T = TestCase::fromGenerated(generate(GenMode::All, 7));
   std::vector<DeviceConfig> Registry = buildConfigRegistry();
   for (const DeviceConfig &C : Registry)
     for (bool Opt : {false, true}) {
-      setCompileCloneEnabled(true);
-      FrontEndUse On = frontEndUseFor(&C, Opt);
-      EXPECT_NE(On, FrontEndUse::Reparse);
-      setCompileCloneEnabled(false);
-      FrontEndUse Off = frontEndUseFor(&C, Opt);
-      if (On == FrontEndUse::ReadShared)
-        EXPECT_EQ(Off, FrontEndUse::ReadShared) << C.Id;
-      else
-        EXPECT_EQ(Off, FrontEndUse::Reparse) << C.Id;
+      std::string Ctx = "config " + std::to_string(C.Id) +
+                        (Opt ? "+" : "-");
+      ExecJob J = ExecJob::onConfig(T, C, Opt, RunSettings());
+      bool Clones = frontEndUseFor(&C, Opt) == FrontEndUse::ClonePrivate;
+
+      CompileCounters Before = compileCounters();
+      std::vector<RunOutcome> Shared = runExecColumn(ExecColumn{{J}});
+      CompileCounters Mid = compileCounters();
+      std::vector<RunOutcome> Parsed = {runExecJob(J)};
+      CompileCounters After = compileCounters();
+
+      expectSameOutcomes(Parsed, Shared, Ctx);
+      EXPECT_EQ(Mid.Parses - Before.Parses, 1u) << Ctx;
+      EXPECT_EQ(Mid.Clones - Before.Clones, Clones ? 1u : 0u) << Ctx;
+      EXPECT_EQ(After.Parses - Mid.Parses, 1u) << Ctx;
+      EXPECT_EQ(After.Clones - Mid.Clones, 0u) << Ctx;
+      EXPECT_EQ(After.Opts - Mid.Opts, Mid.Opts - Before.Opts) << Ctx;
     }
 }
 
@@ -166,7 +254,7 @@ TEST_F(CompilePipelineTest, AdmissionRuleMatchesToggle) {
 // Clone structural identity
 //===----------------------------------------------------------------------===//
 
-TEST_F(CompilePipelineTest, CloneReprintsIdentically) {
+TEST(CompilePipelineTest, CloneReprintsIdentically) {
   // A clone is structurally identical to its source exactly when both
   // print to the same bytes — the printer covers every node kind,
   // type, qualifier and EMI annotation the generator can emit.
@@ -200,7 +288,7 @@ TEST_F(CompilePipelineTest, CloneReprintsIdentically) {
   }
 }
 
-TEST_F(CompilePipelineTest, CloneIsIndependentOfItsSource) {
+TEST(CompilePipelineTest, CloneIsIndependentOfItsSource) {
   // Running the optimiser over the clone must leave the source AST
   // untouched — the property that lets one shared front end feed every
   // cell of a column.
@@ -211,11 +299,9 @@ TEST_F(CompilePipelineTest, CloneIsIndependentOfItsSource) {
   ASSERT_TRUE(checkProgram(*Src, Diags));
   std::string Original = printProgram(Src->program(), Src->types());
 
-  std::unique_ptr<ASTContext> Copy = cloneContext(*Src);
   TestCase T = TestCase::fromGenerated(K);
-  // Optimised reference compile mutates the clone through the driver
-  // path (clone enabled, shared front end reused by value here).
-  setCompileCloneEnabled(true);
+  // The optimised reference compile clones the shared front end and
+  // mutates only its private copy.
   TestFrontEnd FE(T);
   ASSERT_TRUE(FE.ok());
   RunOutcome O = runTestOnReference(T, /*Optimize=*/true, RunSettings(), &FE);
@@ -223,135 +309,97 @@ TEST_F(CompilePipelineTest, CloneIsIndependentOfItsSource) {
   // The shared front end still prints as parsed.
   EXPECT_EQ(Original,
             printProgram(FE.context().program(), FE.context().types()));
-  (void)Copy;
 }
 
 //===----------------------------------------------------------------------===//
-// Column byte-identity: clone on/off × backend × cache
+// Column byte-identity: shared front end against fresh parses ×
+// backend × cache
 //===----------------------------------------------------------------------===//
 
-TEST_F(CompilePipelineTest, ColumnsIdenticalAcrossCloneBackendAndCache) {
+TEST(CompilePipelineTest, ColumnsIdenticalToFreshParseAcrossBackendAndCache) {
   Workload W = buildWorkload();
-
-  setCompileCloneEnabled(true);
-  std::vector<RunOutcome> Reference =
-      runWorkload(W, BackendKind::Inline, 1, /*MemCache=*/false);
+  std::vector<RunOutcome> Reference = runFreshParse(W.Jobs);
 
   struct Case {
-    bool Clone;
     BackendKind Kind;
     unsigned Threads;
     bool MemCache;
     const char *Name;
   };
   const Case Cases[] = {
-      {false, BackendKind::Inline, 1, false, "off/inline"},
-      {true, BackendKind::Threads, 3, false, "on/threads3"},
-      {false, BackendKind::Threads, 3, false, "off/threads3"},
-      {true, BackendKind::Procs, 2, false, "on/procs2"},
-      {false, BackendKind::Procs, 2, false, "off/procs2"},
-      {true, BackendKind::Inline, 1, true, "on/inline/mem"},
-      {false, BackendKind::Inline, 1, true, "off/inline/mem"},
-      {true, BackendKind::Threads, 2, true, "on/threads2/mem"},
+      {BackendKind::Inline, 1, false, "inline"},
+      {BackendKind::Threads, 3, false, "threads3"},
+      {BackendKind::Procs, 2, false, "procs2"},
+      {BackendKind::Inline, 1, true, "inline/mem"},
+      {BackendKind::Threads, 2, true, "threads2/mem"},
   };
-  for (const Case &C : Cases) {
-    setCompileCloneEnabled(C.Clone);
+  for (const Case &C : Cases)
     expectSameOutcomes(Reference,
                        runWorkload(W, C.Kind, C.Threads, C.MemCache),
                        C.Name);
-  }
 }
 
 //===----------------------------------------------------------------------===//
-// Campaign drivers (Tables 1, 4, 5) and the reducer
+// Campaign cubes (Tables 1, 4, 5) and the reducer
 //===----------------------------------------------------------------------===//
 
-TEST_F(CompilePipelineTest, Table1ClassificationIdentical) {
-  std::vector<DeviceConfig> Registry = buildConfigRegistry();
+TEST(CompilePipelineTest, Table1ClassificationIdentical) {
+  // Table 1's cube: every configuration, all six modes, unfiltered.
   CampaignSettings S;
   S.KernelsPerMode = 2;
-
-  setCompileCloneEnabled(true);
-  std::vector<ReliabilityRow> On = classifyConfigurations(Registry, S);
-  setCompileCloneEnabled(false);
-  std::vector<ReliabilityRow> Off = classifyConfigurations(Registry, S);
-
-  ASSERT_EQ(On.size(), Off.size());
-  for (size_t I = 0; I != On.size(); ++I) {
-    EXPECT_EQ(On[I].ConfigId, Off[I].ConfigId);
-    EXPECT_EQ(On[I].AboveThreshold, Off[I].AboveThreshold);
-    EXPECT_EQ(On[I].Counts.W, Off[I].Counts.W);
-    EXPECT_EQ(On[I].Counts.BF, Off[I].Counts.BF);
-    EXPECT_EQ(On[I].Counts.C, Off[I].Counts.C);
-    EXPECT_EQ(On[I].Counts.TO, Off[I].Counts.TO);
-    EXPECT_EQ(On[I].Counts.Pass, Off[I].Counts.Pass);
-  }
+  S.PrefilterOnConfig1 = false;
+  expectCubeMatchesFreshParse(
+      buildConfigRegistry(),
+      {GenMode::Basic, GenMode::Vector, GenMode::Barrier,
+       GenMode::AtomicSection, GenMode::AtomicReduction, GenMode::All},
+      S);
 }
 
-TEST_F(CompilePipelineTest, Table4DifferentialCampaignIdentical) {
-  std::vector<DeviceConfig> Registry = buildConfigRegistry();
-  std::vector<DeviceConfig> Above;
-  for (int Id : paperAboveThresholdIds())
-    Above.push_back(configById(Registry, Id));
+TEST(CompilePipelineTest, Table4DifferentialCampaignIdentical) {
+  // Table 4's cube, prefiltered on configuration 1, over every
+  // configuration rather than only the above-threshold ones.
   CampaignSettings S;
   S.KernelsPerMode = 3;
-  std::vector<GenMode> Modes = {GenMode::Basic, GenMode::Barrier};
-
-  auto Run = [&] { return runDifferentialCampaign(Above, Modes, S); };
-  setCompileCloneEnabled(true);
-  std::vector<ModeTable> On = Run();
-  setCompileCloneEnabled(false);
-  std::vector<ModeTable> Off = Run();
-
-  ASSERT_EQ(On.size(), Off.size());
-  for (size_t I = 0; I != On.size(); ++I) {
-    EXPECT_EQ(On[I].Mode, Off[I].Mode);
-    EXPECT_EQ(On[I].NumTests, Off[I].NumTests);
-    ASSERT_EQ(On[I].Cells.size(), Off[I].Cells.size());
-    auto A = On[I].Cells.begin();
-    auto B = Off[I].Cells.begin();
-    for (; A != On[I].Cells.end(); ++A, ++B) {
-      EXPECT_EQ(A->first.ConfigId, B->first.ConfigId);
-      EXPECT_EQ(A->first.Opt, B->first.Opt);
-      EXPECT_EQ(A->second.W, B->second.W);
-      EXPECT_EQ(A->second.BF, B->second.BF);
-      EXPECT_EQ(A->second.C, B->second.C);
-      EXPECT_EQ(A->second.TO, B->second.TO);
-      EXPECT_EQ(A->second.Pass, B->second.Pass);
-    }
-  }
+  expectCubeMatchesFreshParse(buildConfigRegistry(),
+                              {GenMode::Basic, GenMode::Barrier}, S);
 }
 
-TEST_F(CompilePipelineTest, Table5EmiCampaignIdentical) {
+TEST(CompilePipelineTest, Table5EmiCampaignIdentical) {
   std::vector<DeviceConfig> Registry = buildConfigRegistry();
-  std::vector<DeviceConfig> Above;
-  for (int Id : paperAboveThresholdIds())
-    Above.push_back(configById(Registry, Id));
+  // One base's 40-variant sweep: the fresh-parse reference launches
+  // every cell, with no launch memo.
   EmiCampaignSettings S;
-  S.NumBases = 2;
-  S.Base.KernelsPerMode = 2;
+  S.NumBases = 1;
 
-  unsigned UsableOn = 0, UsableOff = 0;
-  setCompileCloneEnabled(true);
-  std::vector<EmiCampaignColumn> On = runEmiCampaign(Above, S, UsableOn);
-  setCompileCloneEnabled(false);
-  std::vector<EmiCampaignColumn> Off = runEmiCampaign(Above, S, UsableOff);
+  auto Run = [&](ExecBackend &Backend, unsigned &Usable) {
+    EmiCampaignRun R(Registry, S, Backend, S.Base.Exec.resolvedShardSize());
+    while (R.step())
+      ;
+    Usable = R.usableBases();
+    return R.columns();
+  };
+  InlineBackend Columns;
+  FreshParseBackend Fresh;
+  unsigned UsableShared = 0, UsableParsed = 0;
+  std::vector<EmiCampaignColumn> Shared = Run(Columns, UsableShared);
+  std::vector<EmiCampaignColumn> Parsed = Run(Fresh, UsableParsed);
 
-  EXPECT_EQ(UsableOn, UsableOff);
-  ASSERT_EQ(On.size(), Off.size());
-  for (size_t I = 0; I != On.size(); ++I) {
-    EXPECT_EQ(On[I].Key.ConfigId, Off[I].Key.ConfigId);
-    EXPECT_EQ(On[I].Key.Opt, Off[I].Key.Opt);
-    EXPECT_EQ(On[I].BaseFails, Off[I].BaseFails);
-    EXPECT_EQ(On[I].Wrong, Off[I].Wrong);
-    EXPECT_EQ(On[I].InducedBF, Off[I].InducedBF);
-    EXPECT_EQ(On[I].InducedCrash, Off[I].InducedCrash);
-    EXPECT_EQ(On[I].InducedTimeout, Off[I].InducedTimeout);
-    EXPECT_EQ(On[I].Stable, Off[I].Stable);
+  EXPECT_EQ(UsableShared, UsableParsed);
+  ASSERT_EQ(Shared.size(), 2 * Registry.size());
+  ASSERT_EQ(Shared.size(), Parsed.size());
+  for (size_t I = 0; I != Shared.size(); ++I) {
+    EXPECT_EQ(Shared[I].Key.ConfigId, Parsed[I].Key.ConfigId);
+    EXPECT_EQ(Shared[I].Key.Opt, Parsed[I].Key.Opt);
+    EXPECT_EQ(Shared[I].BaseFails, Parsed[I].BaseFails);
+    EXPECT_EQ(Shared[I].Wrong, Parsed[I].Wrong);
+    EXPECT_EQ(Shared[I].InducedBF, Parsed[I].InducedBF);
+    EXPECT_EQ(Shared[I].InducedCrash, Parsed[I].InducedCrash);
+    EXPECT_EQ(Shared[I].InducedTimeout, Parsed[I].InducedTimeout);
+    EXPECT_EQ(Shared[I].Stable, Parsed[I].Stable);
   }
 }
 
-TEST_F(CompilePipelineTest, ReductionIdenticalAcrossCloneAndBackend) {
+TEST(CompilePipelineTest, ReductionIdenticalToFreshParseAcrossBackend) {
   // The Figure 2(f) comma bug buried in unrelated statements — the
   // same witness ReducerConformanceTest pins across backends.
   TestCase Witness;
@@ -385,10 +433,8 @@ TEST_F(CompilePipelineTest, ReductionIdenticalAcrossCloneAndBackend) {
     unsigned Tried = 0;
     unsigned Rounds = 0;
   };
-  auto Reduce = [&](BackendKind Kind, unsigned Threads) {
+  auto Reduce = [&](ReducerOptions Opts) {
     Run R;
-    ReducerOptions Opts;
-    Opts.Exec = ExecOptions::withBackend(Kind, Threads);
     Opts.Trace = [&R](const ReduceTraceEvent &E) {
       R.Trace += renderReduceTraceJsonl(E);
     };
@@ -399,22 +445,23 @@ TEST_F(CompilePipelineTest, ReductionIdenticalAcrossCloneAndBackend) {
     return R;
   };
 
-  setCompileCloneEnabled(true);
-  Run Reference = Reduce(BackendKind::Inline, 1);
-  for (bool Clone : {true, false}) {
-    setCompileCloneEnabled(Clone);
-    for (auto [Kind, Threads] :
-         {std::pair{BackendKind::Inline, 1u},
-          std::pair{BackendKind::Threads, 2u},
-          std::pair{BackendKind::Procs, 2u}}) {
-      Run R = Reduce(Kind, Threads);
-      std::string Ctx = std::string(Clone ? "on/" : "off/") +
-                        backendKindName(Kind);
-      EXPECT_EQ(Reference.Source, R.Source) << Ctx;
-      EXPECT_EQ(Reference.Trace, R.Trace) << Ctx;
-      EXPECT_EQ(Reference.Tried, R.Tried) << Ctx;
-      EXPECT_EQ(Reference.Rounds, R.Rounds) << Ctx;
-    }
+  FreshParseBackend Fresh;
+  ReducerOptions FreshOpts;
+  FreshOpts.Backend = &Fresh;
+  Run Reference = Reduce(FreshOpts);
+  EXPECT_GT(Reference.Tried, 0u);
+  for (auto [Kind, Threads] :
+       {std::pair{BackendKind::Inline, 1u},
+        std::pair{BackendKind::Threads, 2u},
+        std::pair{BackendKind::Procs, 2u}}) {
+    ReducerOptions Opts;
+    Opts.Exec = ExecOptions::withBackend(Kind, Threads);
+    Run R = Reduce(Opts);
+    const char *Ctx = backendKindName(Kind);
+    EXPECT_EQ(Reference.Source, R.Source) << Ctx;
+    EXPECT_EQ(Reference.Trace, R.Trace) << Ctx;
+    EXPECT_EQ(Reference.Tried, R.Tried) << Ctx;
+    EXPECT_EQ(Reference.Rounds, R.Rounds) << Ctx;
   }
 }
 
@@ -422,14 +469,13 @@ TEST_F(CompilePipelineTest, ReductionIdenticalAcrossCloneAndBackend) {
 // The per-phase compile profiler
 //===----------------------------------------------------------------------===//
 
-TEST_F(CompilePipelineTest, CountersMatchAdmissionArithmetic) {
+TEST(CompilePipelineTest, CountersMatchAdmissionArithmetic) {
   Workload W = buildWorkload();
 
-  // Expected phase counts from the admission rule alone: with the
-  // clone on, each column parses once and every non-empty-pipeline
-  // cell clones; with it off, those cells re-parse instead.
+  // Expected phase counts from the admission rule alone: in columns,
+  // each column parses once and every non-empty-pipeline cell clones;
+  // run on its own, every cell parses and none clones.
   size_t CloneCells = 0;
-  setCompileCloneEnabled(true);
   for (const ExecJob &J : W.Jobs)
     if (frontEndUseFor(J.Config, J.Opt) == FrontEndUse::ClonePrivate)
       ++CloneCells;
@@ -454,23 +500,25 @@ TEST_F(CompilePipelineTest, CountersMatchAdmissionArithmetic) {
   // A cell the configuration's front-end checks reject clones but
   // never reaches the optimiser, so Opts is bounded by — not equal
   // to — the clone count.
-  uint64_t OptsOn = After.Opts - Before.Opts;
-  EXPECT_LE(OptsOn, CloneCells);
-  EXPECT_GT(OptsOn, 0u);
+  uint64_t OptsShared = After.Opts - Before.Opts;
+  EXPECT_LE(OptsShared, CloneCells);
+  EXPECT_GT(OptsShared, 0u);
 
-  setCompileCloneEnabled(false);
   Before = compileCounters();
-  runWorkload(W, BackendKind::Inline, 1, /*MemCache=*/false);
+  VmBefore = vmCounters();
+  runFreshParse(W.Jobs);
   After = compileCounters();
+  VmAfter = vmCounters();
 
   EXPECT_EQ(After.Clones - Before.Clones, 0u);
-  EXPECT_EQ(After.Parses - Before.Parses, Columns + CloneCells);
-  // The toggle must not change which cells run the optimiser.
-  EXPECT_EQ(After.Opts - Before.Opts, OptsOn);
+  EXPECT_EQ(After.Parses - Before.Parses, W.Jobs.size());
+  EXPECT_EQ(VmAfter.MemoHits - VmBefore.MemoHits, 0u);
+  // Sharing the front end must not change which cells run the
+  // optimiser.
+  EXPECT_EQ(After.Opts - Before.Opts, OptsShared);
 }
 
-TEST_F(CompilePipelineTest, PhaseTimesSumToTotal) {
-  setCompileCloneEnabled(true);
+TEST(CompilePipelineTest, PhaseTimesSumToTotal) {
   Workload W = buildWorkload();
   runWorkload(W, BackendKind::Inline, 1, /*MemCache=*/false);
   CompileCounters C = compileCounters();
