@@ -82,6 +82,13 @@ clfuzz::groupIntoColumns(const std::vector<ExecJob> &Jobs) {
 std::vector<RunOutcome> clfuzz::runExecColumn(const ExecColumn &Column) {
   std::vector<RunOutcome> Out;
   Out.reserve(Column.Jobs.size());
+  // A lone cell has no one to share a front end or a launch with: the
+  // fresh-parse path costs it parse + sema, where a shared front end
+  // would add a deep clone for an optimising cell.
+  if (Column.Jobs.size() == 1) {
+    Out.push_back(runExecJob(Column.Jobs.front()));
+    return Out;
+  }
   // Built on the first cell that reaches the driver, so a column of
   // fault-injection cells never pays the parse.
   std::unique_ptr<TestFrontEnd> FE;

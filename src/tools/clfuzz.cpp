@@ -121,6 +121,12 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// A numeric flag whose value does not parse. Its message names the
+/// flag, so `sched` reports it without a campaign prefix.
+struct BadValueError : UsageError {
+  using UsageError::UsageError;
+};
+
 struct CliArgs {
   std::string Command;
   std::map<std::string, std::string> Options;
@@ -148,7 +154,7 @@ struct CliArgs {
     return It == Options.end() ? Default : It->second;
   }
   /// A numeric option: the whole value must be a decimal integer that
-  /// fits in uint64_t, otherwise std::invalid_argument names the flag.
+  /// fits in uint64_t, otherwise a BadValueError names the flag.
   uint64_t getInt(const std::string &Key, uint64_t Default) const {
     Read.insert(Key);
     auto It = Options.find(Key);
@@ -158,8 +164,8 @@ struct CliArgs {
     uint64_t N = 0;
     auto [End, Ec] = std::from_chars(V.data(), V.data() + V.size(), N);
     if (V.empty() || Ec != std::errc() || End != V.data() + V.size())
-      throw std::invalid_argument("invalid value '" + V + "' for --" + Key +
-                                  " (expected a non-negative integer)");
+      throw BadValueError("invalid value '" + V + "' for --" + Key +
+                          " (expected a non-negative integer)");
     return N;
   }
 };
@@ -741,6 +747,8 @@ int cmdSched(const CliArgs &A) {
         Tasks.push_back(makeReduceTask(Spec, Out));
       }
       Sub.rejectUnread("parameter", "");
+    } catch (const BadValueError &) {
+      throw;
     } catch (const UsageError &E) {
       throw UsageError("campaign '" + D.Name + "': " + E.what());
     }
@@ -902,18 +910,6 @@ int usage() {
 
 int main(int Argc, char **Argv) {
   CliArgs A = parse(Argc, Argv);
-  // Interpreter tuning applies to every command (output is
-  // byte-identical in either mode; only wall-clock speed changes).
-  // The flag wins over the CLFUZZ_VM_DISPATCH environment variable.
-  if (A.has("vm-dispatch")) {
-    VmDispatch D;
-    if (!parseVmDispatch(A.get("vm-dispatch").c_str(), D)) {
-      std::fprintf(stderr, "unknown vm dispatch '%s' (use switch or goto)\n",
-                   A.get("vm-dispatch").c_str());
-      return 1;
-    }
-    setVmDispatchMode(D);
-  }
   // Every command prints the counters on request (or has none to
   // print): --stats is never an unknown flag.
   A.has("stats");
@@ -921,6 +917,16 @@ int main(int Argc, char **Argv) {
   // process pool that cannot fork) surface as exceptions from deep
   // inside a run; report them as errors, not as std::terminate.
   try {
+    // Interpreter tuning applies to every command (output is
+    // byte-identical in either mode; only wall-clock speed changes).
+    // The flag wins over the CLFUZZ_VM_DISPATCH environment variable.
+    if (A.has("vm-dispatch")) {
+      VmDispatch D;
+      if (!parseVmDispatch(A.get("vm-dispatch").c_str(), D))
+        throw UsageError("unknown vm dispatch '" + A.get("vm-dispatch") +
+                         "' (use switch or goto)");
+      setVmDispatchMode(D);
+    }
     if (A.Command == "gen")
       return cmdGen(A);
     if (A.Command == "run")

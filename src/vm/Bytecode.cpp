@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "vm/Bytecode.h"
+#include "minicl/IntOps.h"
 
 #include <sstream>
 
@@ -183,4 +184,32 @@ uint64_t clfuzz::fuseSuperinstructions(CompiledModule &M) {
     }
   }
   return Fused;
+}
+
+void clfuzz::decodeTypeFacts(CompiledModule &M) {
+  for (CompiledFunction &F : M.Functions) {
+    for (Insn &I : F.Code) {
+      I.Shape = TyShape::None;
+      I.LaneBits = 0;
+      I.LaneSigned = false;
+      I.Lanes = 0;
+      I.AccessBytes = 0;
+      if (!I.Ty)
+        continue;
+      if (isa<ScalarType>(I.Ty))
+        I.Shape = TyShape::Scalar;
+      else if (isa<VectorType>(I.Ty))
+        I.Shape = TyShape::Vector;
+      else if (isa<PointerType>(I.Ty))
+        I.Shape = TyShape::Pointer;
+      else
+        I.Shape = TyShape::Other;
+      LaneType LT = laneTypeOf(I.Ty);
+      I.LaneBits = static_cast<uint8_t>(LT.Width);
+      I.LaneSigned = LT.Signed;
+      const auto *VT = dyn_cast<VectorType>(I.Ty);
+      I.Lanes = static_cast<uint8_t>(VT ? VT->getNumLanes() : 1);
+      I.AccessBytes = static_cast<uint8_t>(accessSize(I.Ty));
+    }
+  }
 }

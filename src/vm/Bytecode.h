@@ -111,14 +111,48 @@ enum class TrapCode : uint8_t {
 
 const char *trapCodeName(TrapCode C);
 
+/// The shape of an instruction's Ty, as decodeTypeFacts records it.
+enum class TyShape : uint8_t {
+  None,    ///< no type (Ty is null)
+  Scalar,  ///< ScalarType
+  Vector,  ///< VectorType
+  Pointer, ///< PointerType
+  Other,   ///< any other type (never loaded, stored or computed on)
+};
+
 /// One VM instruction (fixed-width form, operands by role).
+///
+/// The bytes between Opcode and Imm that alignment would leave as
+/// padding carry facts about Ty, decoded once by decodeTypeFacts so
+/// the interpreter's handlers need not walk the Type on every
+/// execution. They are derived data: the instruction's identity (and
+/// the launch-memo key) is Opcode, A, B, Imm and Ty alone, and code
+/// that edits Ty must call decodeTypeFacts again.
 struct Insn {
   Op Opcode;
+  TyShape Shape = TyShape::None;
+  uint8_t LaneBits = 0;    ///< laneTypeOf(Ty).Width
+  bool LaneSigned = false; ///< laneTypeOf(Ty).Signed
   uint32_t A = 0;
   uint32_t B = 0;
+  uint8_t Lanes = 0;       ///< vector lane count; 1 for other types
+  uint8_t AccessBytes = 0; ///< bytes a Load or Store of Ty touches
   uint64_t Imm = 0;
   const Type *Ty = nullptr;
 };
+static_assert(sizeof(Insn) == 32 || sizeof(void *) != 8,
+              "the type facts must fit Insn's padding");
+
+/// Bytes touched by a Load or Store of \p Ty: a scalar's width, a
+/// vector's lanes, and 8 for a pointer.
+inline uint64_t accessSize(const Type *Ty) {
+  if (const auto *ST = dyn_cast<ScalarType>(Ty))
+    return ST->byteWidth();
+  if (const auto *VT = dyn_cast<VectorType>(Ty))
+    return static_cast<uint64_t>(VT->getElementType()->byteWidth()) *
+           VT->getNumLanes();
+  return 8;
+}
 
 /// Pointer boxing helpers.
 namespace vmptr {
@@ -181,6 +215,11 @@ std::string disassemble(const CompiledModule &M);
 /// a second half is never itself re-fused and always keeps its original
 /// opcode. Returns the number of pairs fused.
 uint64_t fuseSuperinstructions(CompiledModule &M);
+
+/// Fills every instruction's type facts (Shape, LaneBits, LaneSigned,
+/// Lanes, AccessBytes) from its Ty. Codegen runs it last; the VM reads
+/// the facts instead of Ty wherever they apply.
+void decodeTypeFacts(CompiledModule &M);
 
 } // namespace clfuzz
 

@@ -51,7 +51,13 @@ private:
   // --- emission helpers
   size_t emit(Op O, uint32_t A = 0, uint32_t B = 0, uint64_t Imm = 0,
               const Type *Ty = nullptr) {
-    CurFunc->Code.push_back(Insn{O, A, B, Imm, Ty});
+    Insn In;
+    In.Opcode = O;
+    In.A = A;
+    In.B = B;
+    In.Imm = Imm;
+    In.Ty = Ty;
+    CurFunc->Code.push_back(In);
     return CurFunc->Code.size() - 1;
   }
   size_t here() const { return CurFunc->Code.size(); }
@@ -847,6 +853,7 @@ CodegenResult Codegen::run() {
   // unfused modules execute bit-identically (see docs/vm.md).
   if (vmFusionEnabled())
     fuseSuperinstructions(R.Module);
+  decodeTypeFacts(R.Module);
   return R;
 }
 

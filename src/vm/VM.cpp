@@ -260,10 +260,86 @@ struct Frame {
   uint64_t Base;
 };
 
+/// Zeroes lanes [From, V.NumLanes). Every slot keeps the lane
+/// invariant (lanes at index >= NumLanes are zero), so afterwards all
+/// of [From, 16) is zero. Call before NumLanes changes.
+inline void clearLanesFrom(Value &V, unsigned From) {
+  for (unsigned L = From; L < V.NumLanes; ++L)
+    V.Lanes[L] = 0;
+}
+
+/// The operand stack. A popped slot is not destroyed and keeps the
+/// lane invariant like a live one, so a push clears only the lanes its
+/// slot last held instead of zero-filling all sixteen, as constructing
+/// a fresh Value did. VecShuffle and BuiltinEval read beyond an
+/// operand's lane count and rely on those zeros.
+class OperandStack {
+public:
+  OperandStack() = default;
+  OperandStack(const OperandStack &) = delete;
+  OperandStack &operator=(const OperandStack &) = delete;
+  // Moving a vector keeps its buffer, so Top and Limit stay valid.
+  OperandStack(OperandStack &&) noexcept = default;
+  OperandStack &operator=(OperandStack &&) noexcept = default;
+
+  size_t size() const { return static_cast<size_t>(Top - Slots.data()); }
+  Value &back() { return Top[-1]; }
+  Value &operator[](size_t I) { return Slots.data()[I]; }
+  void pop_back() { --Top; }
+  /// Drops every slot above the bottom \p N (never grows the stack).
+  void shrink(size_t N) { Top = Slots.data() + N; }
+  void clear() { Top = Slots.data(); }
+
+  /// Pushes a slot equal to a default-constructed Value.
+  Value &push() {
+    Value &V = pushRaw();
+    clearLanesFrom(V, 0);
+    V.Ty = nullptr;
+    V.NumLanes = 1;
+    return V;
+  }
+  /// Pushes a one-lane value holding \p Bits (already masked).
+  Value &pushLane0(const Type *Ty, uint64_t Bits) {
+    Value &V = pushRaw();
+    clearLanesFrom(V, 1);
+    V.Ty = Ty;
+    V.NumLanes = 1;
+    V.Lanes[0] = Bits;
+    return V;
+  }
+  /// Pushes a copy of the top slot.
+  void dupTop() {
+    Value &V = pushRaw();
+    V = (&V)[-1];
+  }
+
+private:
+  Value &pushRaw() {
+    if (Top == Limit)
+      grow();
+    assert(std::all_of(Top->Lanes.begin() + Top->NumLanes, Top->Lanes.end(),
+                       [](uint64_t L) { return L == 0; }) &&
+           "dead operand slot holds stale lanes");
+    return *Top++;
+  }
+  void grow() {
+    size_t N = size();
+    // New slots are default-constructed: all lanes zero. A work-group
+    // holds one stack per work-item, so start small.
+    Slots.resize(std::max<size_t>(4, 2 * Slots.size()));
+    Top = Slots.data() + N;
+    Limit = Slots.data() + Slots.size();
+  }
+
+  std::vector<Value> Slots;
+  Value *Top = nullptr;   // one past the live top
+  Value *Limit = nullptr; // end of Slots
+};
+
 struct ThreadCtx {
   TState State = TState::Runnable;
   std::vector<Frame> Stack;
-  std::vector<Value> Operands;
+  OperandStack Operands;
   std::vector<uint8_t> Arena;
   uint64_t ArenaTop = 8;
   uint32_t GlobalId[3] = {0, 0, 0};
@@ -289,39 +365,39 @@ enum class StepResult : uint8_t { Continue, Blocked, Done, Trapped };
 //===----------------------------------------------------------------------===//
 //
 // Handlers mutate operand-stack slots in place instead of round-
-// tripping 152-byte Values through locals. Every producer must leave
-// lanes at index >= NumLanes zeroed: VecShuffle and BuiltinEval read
-// beyond an operand's lane count and rely on the zeros that Value's
-// constructors would have provided.
+// tripping Values (144 bytes on LP64 hosts) through locals. Every
+// producer must keep the lane invariant (see OperandStack).
 
-/// Zeroes lanes [From, 16).
-inline void clearLanesFrom(Value &V, unsigned From) {
-  for (unsigned L = From; L < 16; ++L)
-    V.Lanes[L] = 0;
+static_assert(sizeof(Value) == 144 || sizeof(void *) != 8,
+              "update the Value size quoted above");
+
+/// \p Bits masked to the width of \p I's type when that is a scalar
+/// (Value::scalar semantics).
+inline uint64_t maskToScalar(const Insn &I, uint64_t Bits) {
+  return I.Shape == TyShape::Scalar ? maskToWidth(Bits, I.LaneBits) : Bits;
 }
 
-/// Pushes a fresh scalar (or raw pointer when \p Ty is null), masking
-/// to the type width — Value::scalar semantics without the copy.
-inline void pushScalarInPlace(std::vector<Value> &Ops, const Type *Ty,
-                              uint64_t Bits) {
-  Ops.emplace_back(); // default ctor zeroes all lanes
-  Value &V = Ops.back();
-  V.Ty = Ty;
-  if (const auto *ST = dyn_cast_if_present<ScalarType>(Ty))
-    V.Lanes[0] = maskToWidth(Bits, ST->bitWidth());
-  else
-    V.Lanes[0] = Bits;
+/// laneTypeOf(I.Ty), from \p I's decoded facts.
+inline LaneType insnLaneType(const Insn &I) {
+  return {I.LaneBits, I.LaneSigned};
 }
 
-/// Rewrites an existing slot to a scalar, clearing stale upper lanes.
-inline void setScalarInPlace(Value &V, const Type *Ty, uint64_t Bits) {
+/// The lane type an operator evaluates \p V in: that of V's type, or of
+/// \p I's when V is untyped — from I's decoded facts whenever V has
+/// I's type, which is the common case.
+inline LaneType operandLaneType(const Value &V, const Insn &I) {
+  if (!V.Ty || V.Ty == I.Ty)
+    return insnLaneType(I);
+  return laneTypeOf(V.Ty);
+}
+
+/// Rewrites an existing slot to a scalar of \p I's type, clearing
+/// stale upper lanes.
+inline void setScalarInPlace(Value &V, const Insn &I, uint64_t Bits) {
   clearLanesFrom(V, 1);
   V.NumLanes = 1;
-  V.Ty = Ty;
-  if (const auto *ST = dyn_cast_if_present<ScalarType>(Ty))
-    V.Lanes[0] = maskToWidth(Bits, ST->bitWidth());
-  else
-    V.Lanes[0] = Bits;
+  V.Ty = I.Ty;
+  V.Lanes[0] = maskToScalar(I, Bits);
 }
 
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
@@ -393,54 +469,61 @@ inline void writeLE(uint8_t *P, unsigned Bytes, uint64_t Bits) {
     P[I] = static_cast<uint8_t>(Bits >> (8 * I));
 }
 
-/// Bytes touched by a Load/Store of \p Ty.
-inline uint64_t accessSize(const Type *Ty) {
-  if (const auto *ST = dyn_cast<ScalarType>(Ty))
-    return ST->byteWidth();
-  if (const auto *VT = dyn_cast<VectorType>(Ty))
-    return static_cast<uint64_t>(VT->getElementType()->byteWidth()) *
-           VT->getNumLanes();
-  return 8;
-}
-
 /// Op::Convert semantics applied to a slot in place (no trap paths).
 /// Shared by the plain handler and FusedLoadConvert.
 inline void convertInPlace(Value &V, const Insn &I) {
-  if (const auto *VT = dyn_cast<VectorType>(I.Ty)) {
+  if (I.Shape == TyShape::Vector) {
     const auto *SrcVT = cast<VectorType>(V.Ty);
     bool SrcSigned = SrcVT->getElementType()->isSigned();
     unsigned SrcW = SrcVT->getElementType()->bitWidth();
-    unsigned DstW = VT->getElementType()->bitWidth();
-    unsigned N = VT->getNumLanes();
+    unsigned DstW = I.LaneBits;
+    unsigned N = I.Lanes;
     for (unsigned L = 0; L != N; ++L) {
       uint64_t Bits =
           SrcSigned ? static_cast<uint64_t>(signExtend(V.Lanes[L], SrcW))
                     : V.Lanes[L];
       V.Lanes[L] = maskToWidth(Bits, DstW);
     }
-    if (V.NumLanes > N)
-      clearLanesFrom(V, N);
+    clearLanesFrom(V, N);
     V.NumLanes = N;
-    V.Ty = VT;
+    V.Ty = I.Ty;
     return;
   }
-  if (isa<PointerType>(I.Ty)) {
-    if (V.NumLanes > 1)
-      clearLanesFrom(V, 1);
+  if (I.Shape == TyShape::Pointer) {
+    clearLanesFrom(V, 1);
     V.NumLanes = 1;
     V.Ty = I.Ty;
     return;
   }
-  const auto *DstST = cast<ScalarType>(I.Ty);
+  assert(I.Shape == TyShape::Scalar && "converting to a non-scalar type");
   uint64_t Bits = V.Lanes[0];
   if (const auto *SrcST = dyn_cast_if_present<ScalarType>(V.Ty))
     if (SrcST->isSigned())
       Bits = static_cast<uint64_t>(signExtend(Bits, SrcST->bitWidth()));
-  if (V.NumLanes > 1)
-    clearLanesFrom(V, 1);
-  V.Lanes[0] = maskToWidth(Bits, DstST->bitWidth());
+  clearLanesFrom(V, 1);
+  V.Lanes[0] = maskToWidth(Bits, I.LaneBits);
   V.NumLanes = 1;
   V.Ty = I.Ty;
+}
+
+/// The private-arena bytes \p Ptr addresses when it is a private
+/// pointer with \p Size bytes in bounds, else null. Private accesses
+/// are never race-checked, so this one bounds check is all a scalar
+/// load or store through such a pointer needs; any other pointer takes
+/// the general resolve path, which also reports the traps.
+inline uint8_t *privateBytes(ThreadCtx &T, uint64_t Ptr, uint64_t Size) {
+  if (Ptr == 0 || vmptr::space(Ptr) != AddressSpace::Private)
+    return nullptr;
+  uint64_t Off = vmptr::offset(Ptr);
+  if (Off + Size > T.Arena.size())
+    return nullptr;
+  return T.Arena.data() + Off;
+}
+
+/// True when Op::Bin \p I applied to the left operand \p L computes in
+/// I's own scalar lane type, which its decoded facts give.
+inline bool isScalarBin(const Value &L, const Insn &I) {
+  return I.Shape == TyShape::Scalar && (!L.Ty || L.Ty == I.Ty);
 }
 
 //===----------------------------------------------------------------------===//
@@ -481,8 +564,25 @@ private:
   /// Op::Bin semantics: L op= R in place. False on division by zero
   /// (trap already reported). Shared by Bin and the fused handlers.
   bool binInPlace(ThreadCtx &T, const Insn &I, Value &L, const Value &R);
+  /// Op::Bin on a non-vector: L = L op \p RBits in lane type \p LT,
+  /// masked to I's type. Inline, so the scalar fast path of the Bin
+  /// handlers (isScalarBin) costs no call.
+  bool binScalar(ThreadCtx &T, const Insn &I, LaneType LT, Value &L,
+                 uint64_t RBits) {
+    uint64_t Out;
+    if (!evalBinLane(static_cast<BinOp>(I.A), LT, L.Lanes[0], RBits, false,
+                     32, Out)) {
+      trap(T, TrapCode::DivByZero);
+      return false;
+    }
+    clearLanesFrom(L, 1);
+    L.Lanes[0] = maskToScalar(I, Out);
+    L.NumLanes = 1;
+    L.Ty = I.Ty;
+    return true;
+  }
 
-  static void loadInto(Value &Out, const uint8_t *P, const Type *Ty);
+  static void loadInto(Value &Out, const uint8_t *P, const Insn &I);
   static void storeValue(uint8_t *P, const Value &V);
 
   void trap(ThreadCtx &T, TrapCode TC, const std::string &Extra = "");
@@ -578,34 +678,27 @@ void Engine::recordAccess(ThreadCtx &T, uint64_t Ptr, uint64_t Size,
                  vmptr::offset(Ptr), Size, A);
 }
 
-void Engine::loadInto(Value &Out, const uint8_t *P, const Type *Ty) {
-  // \p Out satisfies the stack invariant on entry (lanes >= NumLanes
-  // zero), so only lanes [N, Out.NumLanes) can hold stale data. The
-  // common case — loading a scalar over the pointer that addressed it —
-  // clears nothing.
-  unsigned Prev = Out.NumLanes;
-  if (const auto *VT = dyn_cast<VectorType>(Ty)) {
-    unsigned EB = VT->getElementType()->byteWidth();
-    unsigned W = VT->getElementType()->bitWidth();
-    unsigned N = VT->getNumLanes();
+void Engine::loadInto(Value &Out, const uint8_t *P, const Insn &I) {
+  // \p Out satisfies the lane invariant on entry, so only lanes
+  // [N, Out.NumLanes) can hold stale data. The common case — loading a
+  // scalar over the pointer that addressed it — clears nothing.
+  if (I.Shape == TyShape::Vector) {
+    unsigned N = I.Lanes;
+    unsigned EB = I.AccessBytes / N;
     for (unsigned L = 0; L != N; ++L)
-      Out.Lanes[L] = maskToWidth(readLE(P + L * EB, EB), W);
-    for (unsigned L = N; L < Prev; ++L)
-      Out.Lanes[L] = 0;
-    Out.Ty = VT;
+      Out.Lanes[L] = maskToWidth(readLE(P + L * EB, EB), I.LaneBits);
+    clearLanesFrom(Out, N);
+    Out.Ty = I.Ty;
     Out.NumLanes = N;
     return;
   }
-  for (unsigned L = 1; L < Prev; ++L)
-    Out.Lanes[L] = 0;
+  assert((I.Shape == TyShape::Scalar || I.Shape == TyShape::Pointer) &&
+         "loading a non-loadable type");
+  clearLanesFrom(Out, 1);
   Out.NumLanes = 1;
-  Out.Ty = Ty;
-  if (const auto *ST = dyn_cast<ScalarType>(Ty)) {
-    Out.Lanes[0] = maskToWidth(readLE(P, ST->byteWidth()), ST->bitWidth());
-    return;
-  }
-  assert(isa<PointerType>(Ty) && "loading a non-loadable type");
-  Out.Lanes[0] = readLE(P, 8);
+  Out.Ty = I.Ty;
+  // A pointer reads 8 bytes into a 64-bit lane: the mask is a no-op.
+  Out.Lanes[0] = maskToWidth(readLE(P, I.AccessBytes), I.LaneBits);
 }
 
 void Engine::storeValue(uint8_t *P, const Value &V) {
@@ -622,6 +715,7 @@ void Engine::storeValue(uint8_t *P, const Value &V) {
   writeLE(P, 8, V.Lanes[0]);
 }
 
+
 void Engine::trap(ThreadCtx &T, TrapCode TC, const std::string &Extra) {
   Aborted = true;
   Result.Status = LaunchStatus::Trap;
@@ -634,7 +728,7 @@ void Engine::trap(ThreadCtx &T, TrapCode TC, const std::string &Extra) {
 
 bool Engine::loadIntoSlot(ThreadCtx &T, Value &Slot, uint64_t PtrBits,
                           const Insn &I) {
-  uint64_t Size = accessSize(I.Ty);
+  uint64_t Size = I.AccessBytes;
   TrapCode TC;
   uint8_t *P = resolve(T, PtrBits, Size, /*ForWrite=*/false, TC);
   if (!P) {
@@ -643,43 +737,30 @@ bool Engine::loadIntoSlot(ThreadCtx &T, Value &Slot, uint64_t PtrBits,
   }
   if (Opts.DetectRaces)
     recordAccess(T, PtrBits, Size, /*Write=*/false, /*Atomic=*/false);
-  loadInto(Slot, P, I.Ty);
+  loadInto(Slot, P, I);
   return true;
 }
 
 bool Engine::binInPlace(ThreadCtx &T, const Insn &I, Value &L,
                         const Value &R) {
+  LaneType LT = operandLaneType(L, I);
+  if (I.Shape != TyShape::Vector)
+    return binScalar(T, I, LT, L, R.Lanes[0]);
   BinOp BO = static_cast<BinOp>(I.A);
-  LaneType LT = laneTypeOf(L.Ty ? L.Ty : I.Ty);
-  if (const auto *VT = dyn_cast<VectorType>(I.Ty)) {
-    unsigned N = VT->getNumLanes();
-    unsigned RW = VT->getElementType()->bitWidth();
-    bool VecCmp = isComparisonOp(BO) || isLogicalOp(BO);
-    for (unsigned Lane = 0; Lane != N; ++Lane) {
-      // evalBinLane takes the inputs by value, so the output may alias
-      // lane storage; each lane depends only on its own inputs.
-      if (!evalBinLane(BO, LT, L.Lanes[Lane], R.Lanes[Lane], VecCmp, RW,
-                       L.Lanes[Lane])) {
-        trap(T, TrapCode::DivByZero);
-        return false;
-      }
-    }
-    if (L.NumLanes > N)
-      clearLanesFrom(L, N);
-    L.NumLanes = N;
-  } else {
-    uint64_t Out = 0;
-    if (!evalBinLane(BO, LT, L.Lanes[0], R.Lanes[0], false, 32, Out)) {
+  unsigned N = I.Lanes;
+  unsigned RW = I.LaneBits;
+  bool VecCmp = isComparisonOp(BO) || isLogicalOp(BO);
+  for (unsigned Lane = 0; Lane != N; ++Lane) {
+    // evalBinLane takes the inputs by value, so the output may alias
+    // lane storage; each lane depends only on its own inputs.
+    if (!evalBinLane(BO, LT, L.Lanes[Lane], R.Lanes[Lane], VecCmp, RW,
+                     L.Lanes[Lane])) {
       trap(T, TrapCode::DivByZero);
       return false;
     }
-    if (const auto *ST = dyn_cast<ScalarType>(I.Ty))
-      Out = maskToWidth(Out, ST->bitWidth());
-    if (L.NumLanes > 1)
-      clearLanesFrom(L, 1);
-    L.Lanes[0] = Out;
-    L.NumLanes = 1;
   }
+  clearLanesFrom(L, N);
+  L.NumLanes = N;
   L.Ty = I.Ty;
   return true;
 }

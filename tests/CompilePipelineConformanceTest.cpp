@@ -222,10 +222,11 @@ TEST(CompilePipelineTest, AdmissionRuleMatchesFreshParse) {
   EXPECT_EQ(frontEndUseFor(nullptr, false), FrontEndUse::ReadShared);
   EXPECT_EQ(frontEndUseFor(nullptr, true), FrontEndUse::ClonePrivate);
 
-  // Cell by cell across the zoo: a one-cell column parses once and
-  // clones exactly when the rule says so, the same cell run on its own
-  // parses once and never clones, both run the optimiser alike, and
-  // both give the same outcome.
+  // Cell by cell across the zoo: a two-cell column parses once and
+  // clones for each cell exactly when the rule says so; a one-cell
+  // column takes the fresh-parse path, as the same cell run on its own
+  // does, so it parses once and never clones; all run the optimiser
+  // alike per cell, and all give the same outcome.
   TestCase T = TestCase::fromGenerated(generate(GenMode::All, 7));
   std::vector<DeviceConfig> Registry = buildConfigRegistry();
   for (const DeviceConfig &C : Registry)
@@ -236,17 +237,24 @@ TEST(CompilePipelineTest, AdmissionRuleMatchesFreshParse) {
       bool Clones = frontEndUseFor(&C, Opt) == FrontEndUse::ClonePrivate;
 
       CompileCounters Before = compileCounters();
-      std::vector<RunOutcome> Shared = runExecColumn(ExecColumn{{J}});
+      std::vector<RunOutcome> Shared = runExecColumn(ExecColumn{{J, J}});
+      CompileCounters Pair = compileCounters();
+      std::vector<RunOutcome> Lone = runExecColumn(ExecColumn{{J}});
       CompileCounters Mid = compileCounters();
       std::vector<RunOutcome> Parsed = {runExecJob(J)};
       CompileCounters After = compileCounters();
 
-      expectSameOutcomes(Parsed, Shared, Ctx);
-      EXPECT_EQ(Mid.Parses - Before.Parses, 1u) << Ctx;
-      EXPECT_EQ(Mid.Clones - Before.Clones, Clones ? 1u : 0u) << Ctx;
+      expectSameOutcomes(Parsed, {Shared[0]}, Ctx);
+      expectSameOutcomes(Parsed, {Shared[1]}, Ctx);
+      expectSameOutcomes(Parsed, Lone, Ctx);
+      EXPECT_EQ(Pair.Parses - Before.Parses, 1u) << Ctx;
+      EXPECT_EQ(Pair.Clones - Before.Clones, Clones ? 2u : 0u) << Ctx;
+      EXPECT_EQ(Mid.Parses - Pair.Parses, 1u) << Ctx;
+      EXPECT_EQ(Mid.Clones - Pair.Clones, 0u) << Ctx;
       EXPECT_EQ(After.Parses - Mid.Parses, 1u) << Ctx;
       EXPECT_EQ(After.Clones - Mid.Clones, 0u) << Ctx;
-      EXPECT_EQ(After.Opts - Mid.Opts, Mid.Opts - Before.Opts) << Ctx;
+      EXPECT_EQ(After.Opts - Mid.Opts, Mid.Opts - Pair.Opts) << Ctx;
+      EXPECT_EQ(Pair.Opts - Before.Opts, 2 * (After.Opts - Mid.Opts)) << Ctx;
     }
 }
 

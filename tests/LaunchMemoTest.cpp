@@ -236,6 +236,7 @@ TEST(LaunchMemoTest, EveryKeyComponentSeparatesLaunches) {
         break;
       }
     EXPECT_TRUE(Flipped);
+    decodeTypeFacts(V.Module); // the VM reads the facts, not Ty
   }
   {
     Variant &V = Add("param frame offset");

@@ -319,6 +319,118 @@ TEST_F(VmConformanceTest, ReuseAfterTimeoutIsClean) {
   EXPECT_TRUE(After == Fresh);
 }
 
+//===----------------------------------------------------------------------===//
+// Operand-slot reuse
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A kernel no MiniCL source compiles to: it leaves 16-lane vectors in
+/// dead operand slots, then pushes scalars into those slots and feeds
+/// them to the two handlers that read past an operand's lane count —
+/// VecShuffle on a scalar, BuiltinEval with a vector first and a scalar
+/// second operand. A pushed scalar's lanes above 0 must read as zero,
+/// so the kernel writes out[0] = 0 and out[1] = 4.
+Compiled deadSlotKernel(bool Fused) {
+  Compiled C = compile("kernel void k(global ulong *out) { out[0] = 0u; }",
+                       /*Fused=*/false);
+  TypeContext &Types = C.Ctx->types();
+  const ScalarType *ULong = Types.ulongTy();
+  CompiledFunction &K = C.Module.Functions[C.Module.KernelIndex];
+  std::vector<Insn> &Code = K.Code;
+  Code.clear();
+  auto Emit = [&Code](Op O, uint32_t A, uint32_t B, uint64_t Imm,
+                      const Type *Ty) {
+    Insn I;
+    I.Opcode = O;
+    I.A = A;
+    I.B = B;
+    I.Imm = Imm;
+    I.Ty = Ty;
+    Code.push_back(I);
+  };
+  // Two 16-lane vectors built above [out, out] and popped again.
+  auto DirtyTwoSlots = [&] {
+    for (uint64_t Base : {1, 101}) {
+      for (uint64_t L = 0; L != 16; ++L)
+        Emit(Op::PushConst, 0, 0, Base + L, ULong);
+      Emit(Op::VecBuild, 16, 0, 0, Types.vector(ULong, 16));
+    }
+    Emit(Op::Pop, 0, 0, 0, nullptr);
+    Emit(Op::Pop, 0, 0, 0, nullptr);
+  };
+  Emit(Op::FrameAddr, 0, 0, K.Params[0].FrameOffset, nullptr);
+  Emit(Op::Load, 0, 0, 0, K.Params[0].Ty); // [out]
+  // out[0] = ((ulong2)(7, lane 9 of the scalar 7)).s1
+  Emit(Op::Dup, 0, 0, 0, nullptr);
+  DirtyTwoSlots();
+  Emit(Op::PushConst, 0, 0, 7, ULong);
+  Emit(Op::VecShuffle, 2, 0, (9u << 4) | 0u, Types.vector(ULong, 2));
+  Emit(Op::VecExtract, 1, 0, 0, ULong);
+  Emit(Op::Store, 0, 0, 0, ULong);
+  // out[1] = max((ulong4)(1, 2, 3, 4), a scalar 0 taken lane-wise).s3
+  Emit(Op::Dup, 0, 0, 0, nullptr);
+  Emit(Op::GepConst, 0, 0, 8, nullptr);
+  DirtyTwoSlots();
+  for (uint64_t L = 1; L <= 4; ++L)
+    Emit(Op::PushConst, 0, 0, L, ULong);
+  Emit(Op::VecBuild, 4, 0, 0, Types.vector(ULong, 4));
+  Emit(Op::PushConst, 0, 0, 0, ULong);
+  Emit(Op::BuiltinEval, static_cast<uint32_t>(Builtin::Max), 2, 0,
+       Types.vector(ULong, 4));
+  Emit(Op::VecExtract, 3, 0, 0, ULong);
+  Emit(Op::Store, 0, 0, 0, ULong);
+  Emit(Op::Pop, 0, 0, 0, nullptr);
+  Emit(Op::RetVoid, 0, 0, 0, nullptr);
+  if (Fused) {
+    EXPECT_GT(fuseSuperinstructions(C.Module), 0u);
+  }
+  decodeTypeFacts(C.Module);
+  return C;
+}
+
+const char *Vector16Kernel =
+    "kernel void k(global ulong *out) {\n"
+    "  ulong16 v = (ulong16)(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u,\n"
+    "                        9u, 10u, 11u, 12u, 13u, 14u, 15u, 16u);\n"
+    "  ulong16 w = v * v + v;\n"
+    "  out[get_global_id(0)] = w.sf + w.s7;\n"
+    "}\n";
+
+} // namespace
+
+TEST_F(VmConformanceTest, DeadOperandSlotsReadAsZero) {
+  // One engine runs a vector-heavy kernel and then the dead-slot
+  // kernel twice; every run must equal a fresh engine's and hold the
+  // known answer, under every dispatch x fusion setting.
+  std::vector<VmDispatch> Dispatches = {VmDispatch::Switch};
+  if (vmHasGotoDispatch())
+    Dispatches.push_back(VmDispatch::Goto);
+  NDRange Range = grid(2, 2);
+  for (VmDispatch D : Dispatches)
+    for (bool Fused : {false, true}) {
+      std::string Ctx = std::string(vmDispatchName(D)) +
+                        (Fused ? " fused" : " unfused");
+      setVmDispatchMode(D);
+      Compiled Wide = compile(Vector16Kernel, Fused);
+      Compiled Dead = deadSlotKernel(Fused);
+      VmInstance Reused;
+      LaunchOptions Opts;
+      launchAndSnapshot(Wide.Module, Range, Opts, &Reused);
+      for (int Round = 0; Round != 2; ++Round) {
+        Snapshot OnReused = launchAndSnapshot(Dead.Module, Range, Opts,
+                                              &Reused);
+        Snapshot OnFresh = launchAndSnapshot(Dead.Module, Range, Opts);
+        EXPECT_TRUE(OnReused == OnFresh) << Ctx << " round " << Round;
+        ASSERT_EQ(OnReused.Status, LaunchStatus::Success) << Ctx;
+        std::vector<uint8_t> Want(16, 0);
+        Want[8] = 4;
+        EXPECT_EQ(OnReused.Buffers[0], Want) << Ctx << " round " << Round;
+        EXPECT_EQ(OnFresh.Buffers[0], Want) << Ctx << " round " << Round;
+      }
+    }
+}
+
 TEST_F(VmConformanceTest, ReuseCountersAdvance) {
   VmInstance Reused;
   Compiled M = compile(ArithKernel, /*Fused=*/true);

@@ -12,8 +12,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "gen/Generator.h"
+#include "minicl/IntOps.h"
 #include "minicl/Parser.h"
 #include "minicl/Sema.h"
+#include "opt/Pass.h"
 #include "vm/Codegen.h"
 #include "vm/VM.h"
 
@@ -85,6 +88,62 @@ NDRange groupOf(uint32_t N) {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// Decoded type facts
+//===----------------------------------------------------------------------===//
+
+TEST(VmTest, DecodedTypeFactsMatchTheirTypes) {
+  // Every instruction of a generated kernel, in every generator mode
+  // at both opt levels, carries the facts its Ty gives: the handlers
+  // read them instead of the Type.
+  uint64_t Typed = 0, Vectors = 0;
+  for (unsigned Mode = 0; Mode != NumGenModes; ++Mode)
+    for (bool Opt : {false, true}) {
+      GenOptions GO;
+      GO.Mode = static_cast<GenMode>(Mode);
+      GO.Seed = 11 + Mode;
+      GeneratedKernel G = generateKernel(GO);
+      std::string Ctx = std::string(genModeName(GO.Mode)) +
+                        (Opt ? "+" : "-");
+      ASTContext AST;
+      DiagEngine Diags;
+      ASSERT_TRUE(parseProgram(G.Source, AST, Diags)) << Diags.str();
+      ASSERT_TRUE(checkProgram(AST, Diags)) << Diags.str();
+      if (Opt)
+        buildPipeline(PassOptions::o2(), AST).run(AST);
+      CodegenResult CR = compileToBytecode(AST);
+      ASSERT_TRUE(CR.Ok) << CR.Error;
+      for (const CompiledFunction &F : CR.Module.Functions)
+        for (size_t PC = 0; PC != F.Code.size(); ++PC) {
+          const Insn &I = F.Code[PC];
+          std::string At = Ctx + " " + F.Name + ":" + std::to_string(PC);
+          if (!I.Ty) {
+            EXPECT_EQ(I.Shape, TyShape::None) << At;
+            EXPECT_EQ(I.LaneBits, 0u) << At;
+            EXPECT_FALSE(I.LaneSigned) << At;
+            EXPECT_EQ(I.Lanes, 0u) << At;
+            EXPECT_EQ(I.AccessBytes, 0u) << At;
+            continue;
+          }
+          ++Typed;
+          TyShape Shape = isa<ScalarType>(I.Ty)    ? TyShape::Scalar
+                          : isa<VectorType>(I.Ty)  ? TyShape::Vector
+                          : isa<PointerType>(I.Ty) ? TyShape::Pointer
+                                                   : TyShape::Other;
+          const auto *VT = dyn_cast<VectorType>(I.Ty);
+          Vectors += VT != nullptr;
+          LaneType LT = laneTypeOf(I.Ty);
+          EXPECT_EQ(I.Shape, Shape) << At;
+          EXPECT_EQ(I.LaneBits, LT.Width) << At;
+          EXPECT_EQ(I.LaneSigned, LT.Signed) << At;
+          EXPECT_EQ(I.Lanes, VT ? VT->getNumLanes() : 1u) << At;
+          EXPECT_EQ(I.AccessBytes, accessSize(I.Ty)) << At;
+        }
+    }
+  EXPECT_GT(Typed, 0u);
+  EXPECT_GT(Vectors, 0u);
+}
 
 //===----------------------------------------------------------------------===//
 // Basic semantics
