@@ -88,4 +88,32 @@ diff "$GOLDENS/hunt_triage_basic_1014.txt" "$WORK/solo.txt"
 diff "$GOLDENS/hunt_triage_basic_1014.csv" "$WORK/solo.csv"
 diff "$GOLDENS/triage_all_seed39_config14.txt" "$WORK/triage-solo.txt"
 
+# Eight witnesses reduced and triaged: report and reduction trace.
+# The report's summary names its backend; that name is masked.
+check_reduce_golden() { # REPORT TRACE
+  sed 's/ on the [a-z]* backend;/ on the inline backend;/' "$1" |
+    diff "$GOLDENS/hunt_reduce_triage_all_seed200001.txt" -
+  diff "$GOLDENS/hunt_reduce_triage_all_seed200001.trace.jsonl" "$2"
+}
+
+for BACKEND in "inline" "threads --exec-threads=4"; do
+  echo "== hunt --reduce --triage goldens on --backend=$BACKEND"
+  # shellcheck disable=SC2086 # BACKEND carries two flags
+  "$CLFUZZ" hunt --mode=ALL --seed=200001 --count=8 --reduce --triage \
+    --reduce-max=50 --backend=$BACKEND \
+    --reduce-trace="$WORK/reduce-trace.jsonl" > "$WORK/reduce.txt"
+  check_reduce_golden "$WORK/reduce.txt" "$WORK/reduce-trace.jsonl"
+done
+
+# Solo hunts reduce each witness serially; under the scheduler the
+# reductions share the 4-thread pool, whose executors print every
+# window of candidates.
+echo "== sched hunt(reduce,triage) goldens on --backend=threads"
+mkdir -p "$WORK/sched-reduce"
+"$CLFUZZ" sched --backend=threads --exec-threads=4 \
+  --out-dir="$WORK/sched-reduce" \
+  --campaigns="hunt(name=h,mode=ALL,seed=200001,count=8,reduce,triage,reduce-max=50,reduce-trace=$WORK/sched-reduce.jsonl)" \
+  > /dev/null
+check_reduce_golden "$WORK/sched-reduce/h.txt" "$WORK/sched-reduce.jsonl"
+
 echo "triage goldens: all checks passed"

@@ -292,7 +292,9 @@ void ThreadPoolBackend::forEachIndex(size_t N,
 
 void ThreadPoolBackend::forEachIndex(size_t N,
                                      const std::function<void(size_t)> &Body) {
-  forEachIndex(N, Body, CheapClaimChunk);
+  size_t Claim = std::clamp<size_t>(N / (4 * size_t(NumThreads)), 1,
+                                    CheapClaimChunk);
+  forEachIndex(N, Body, static_cast<unsigned>(Claim));
 }
 
 std::vector<RunOutcome>

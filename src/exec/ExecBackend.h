@@ -285,14 +285,17 @@ public:
   std::vector<RunOutcome> run(const std::vector<ExecJob> &Jobs) override;
   std::vector<RunOutcome>
   runColumns(const std::vector<ExecColumn> &Columns) override;
-  /// Generation-side work: cheap and uniform, so it claims
-  /// CheapClaimChunk indices at a time.
+  /// Generation-side work: cheap and uniform, so it claims several
+  /// indices at a time, scaled to the batch — N / (4 x threads),
+  /// clamped to [1, CheapClaimChunk] — so a wide batch cuts lock
+  /// traffic while a narrow one (a reduction round's window of 8
+  /// candidates to print) still spreads over every lane.
   void forEachIndex(size_t N,
                     const std::function<void(size_t)> &Body) override;
 
   /// ExecBackend::forEachIndex with an explicit claim size: the number
   /// of indices a thread claims per queue lock acquisition. Cheap
-  /// bodies claim CheapClaimChunk to cut lock traffic on wide
+  /// bodies claim up to CheapClaimChunk to cut lock traffic on wide
   /// machines; timeout-heavy bodies (campaign cells that can burn a
   /// whole step budget) claim 1 so a slow cell never strands cheap
   /// neighbours behind it. Results are keyed by index either way, so
@@ -300,6 +303,7 @@ public:
   void forEachIndex(size_t N, const std::function<void(size_t)> &Body,
                     unsigned ClaimChunk);
 
+  /// The largest claim of the generation-side overload.
   static constexpr unsigned CheapClaimChunk = 8;
 
 private:

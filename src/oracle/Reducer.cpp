@@ -6,21 +6,22 @@
 //===----------------------------------------------------------------------===//
 //
 // The reduction engine is a composition of the streaming campaign
-// pipeline: each round's speculative candidates are pulled from a
-// ReductionCandidateSource (which prints the next chunk's candidates
-// on a helper thread while the current chunk evaluates - the
-// pipelining is invisible in results), executed as ExecJobs on the
-// reducer's ExecBackend, and judged by a ReductionAcceptSink in
-// submission order. Acceptance is first-accepted-in-submission-order
-// and every decision (emission, skip, charge, accept) is made on the
-// calling thread from sequentially-updated state, so the reduction
-// sequence, the stats and the trace are bit-identical across
-// backends and worker counts.
+// pipeline: each round parses the current best kernel once, and its
+// speculative candidates are pulled from a ReductionCandidateSource
+// (which prints each window of candidates - one clone of the round's
+// parse per candidate - across the backend's executors through
+// forEachIndex), executed as ExecJobs on the reducer's ExecBackend,
+// and judged by a ReductionAcceptSink in submission order. Acceptance
+// is first-accepted-in-submission-order and every decision (emission,
+// skip, charge, accept) is made on the calling thread from
+// sequentially-updated state, so the reduction sequence, the stats
+// and the trace are bit-identical across backends and worker counts.
 //
 //===----------------------------------------------------------------------===//
 
 #include "oracle/Reducer.h"
 #include "exec/Pipeline.h"
+#include "minicl/ASTClone.h"
 #include "minicl/ASTQueries.h"
 #include "minicl/Parser.h"
 #include "minicl/Printer.h"
@@ -28,7 +29,6 @@
 #include "support/StringUtil.h"
 
 #include <algorithm>
-#include <future>
 #include <unordered_set>
 
 using namespace clfuzz;
@@ -269,19 +269,18 @@ void stripNullStmts(Program &Prog) {
       stripNullStmts(F->getBody());
 }
 
-/// Applies the mutation group [Begin, Begin+Count) to a freshly parsed
-/// copy of \p Source; returns the new source, or an empty string when
+/// Applies the mutation group [Begin, Begin+Count) to a clone of the
+/// round's parse \p Base (which it only reads, so candidates print
+/// concurrently); returns the new source, or an empty string when
 /// the group is inapplicable or yields an invalid program. Statement
 /// mutations apply first (their paths were enumerated against the
 /// unmutated program and in-slot substitutions keep sibling paths
 /// stable); function deletions apply last in descending index order so
 /// earlier removals cannot shift a later victim's index.
-std::string applyMutationGroup(const std::string &Source,
+std::string applyMutationGroup(const ASTContext &Base,
                                const Mutation *Begin, size_t Count) {
-  ASTContext Ctx;
-  DiagEngine Diags;
-  if (!parseProgram(Source, Ctx, Diags))
-    return {};
+  std::unique_ptr<ASTContext> Clone = cloneContext(Base);
+  ASTContext &Ctx = *Clone;
 
   std::vector<const Mutation *> Stmts, Funcs;
   for (size_t I = 0; I != Count; ++I) {
@@ -351,9 +350,12 @@ double classScore(const ClassHistory &H, Mutation::Kind K) {
 
 /// Per-round shared state. The pipeline runner alternates source pulls
 /// and sink consumption on the calling thread, so all of this is
-/// updated sequentially; only candidate *printing* happens off-thread.
+/// updated sequentially; only candidate *printing* runs on the
+/// executors, and it reads only what is fixed for the round (Base,
+/// Sorted, Combo).
 struct RoundCtx {
   const TestCase &Best;
+  const ASTContext &Base;              ///< the one parse of Best.Source
   const std::vector<Mutation> &Sorted; ///< priority order
   unsigned Combo = 1;                  ///< mutations per candidate
   size_t NumGroups = 0;
@@ -379,10 +381,10 @@ struct RoundCtx {
   size_t AcceptedGroup = 0;
   unsigned AcceptedCandidateNo = 0;
 
-  RoundCtx(const TestCase &Best, const std::vector<Mutation> &Sorted,
-           unsigned Combo, ReduceStats &Stats,
-           std::unordered_set<std::string> &Rejected)
-      : Best(Best), Sorted(Sorted), Combo(Combo),
+  RoundCtx(const TestCase &Best, const ASTContext &Base,
+           const std::vector<Mutation> &Sorted, unsigned Combo,
+           ReduceStats &Stats, std::unordered_set<std::string> &Rejected)
+      : Best(Best), Base(Base), Sorted(Sorted), Combo(Combo),
         NumGroups((Sorted.size() + Combo - 1) / Combo), Stats(Stats),
         Rejected(Rejected) {}
 
@@ -431,17 +433,20 @@ struct PrintedCandidate {
 };
 
 /// Streams one round's candidates as TestCases in priority order.
-/// Printing a candidate (parse + mutate + sema + print) costs about as
-/// much as evaluating a small kernel, so the next window is printed on
-/// a helper thread while the caller runs the current window's probe
-/// jobs on the backend; the prefetch reads only round-immutable state
-/// and is joined before its results are observed, so it never changes
-/// anything but wall-clock time.
+/// Printing a candidate (clone + mutate + sema + print) costs about as
+/// much as evaluating a small kernel, so each window is printed across
+/// the backend's executors (forEachIndex; serial on backends whose
+/// executors are other processes). Printing reads only round-immutable
+/// state and each candidate lands in its own slot, so the window's
+/// text - and everything downstream - is the same on every backend.
+/// Windows are printed on demand: most rounds accept inside their
+/// first window, so printing ahead would mostly be thrown away.
 class ReductionCandidateSource final : public TestSource {
 public:
-  ReductionCandidateSource(RoundCtx &Ctx, unsigned Window,
-                           unsigned EmitBudget)
-      : Ctx(Ctx), Window(std::max(Window, 1u)), EmitLeft(EmitBudget) {}
+  ReductionCandidateSource(RoundCtx &Ctx, ExecBackend &Backend,
+                           unsigned Window, unsigned EmitBudget)
+      : Ctx(Ctx), Backend(Backend), Window(std::max(Window, 1u)),
+        EmitLeft(EmitBudget) {}
 
   std::vector<TestCase> next(unsigned MaxShard) override {
     std::vector<TestCase> Shard;
@@ -484,41 +489,29 @@ public:
   }
 
 private:
-  /// Prints the mutation groups [Begin, Begin+N) against the round's
-  /// base source. Pure: reads only round-immutable state.
-  std::vector<PrintedCandidate> printWindow(size_t Begin, size_t N) const {
-    std::vector<PrintedCandidate> Out;
-    Out.reserve(N);
-    for (size_t G = Begin; G != Begin + N; ++G)
-      Out.push_back({G, applyMutationGroup(
-                            Ctx.Best.Source,
-                            Ctx.Sorted.data() + Ctx.groupBegin(G),
-                            Ctx.groupSize(G))});
-    return Out;
-  }
-
+  /// Prints the next window of mutation groups against the round's
+  /// parse, one group per forEachIndex slot.
   std::vector<PrintedCandidate> takeWindow() {
-    size_t N = std::min<size_t>(Window, Ctx.NumGroups - NextGroup);
-    std::vector<PrintedCandidate> Out =
-        Prefetch.valid() ? Prefetch.get() : printWindow(NextGroup, N);
+    size_t Begin = NextGroup;
+    size_t N = std::min<size_t>(Window, Ctx.NumGroups - Begin);
     NextGroup += N;
-    if (NextGroup < Ctx.NumGroups) {
-      size_t Ahead = std::min<size_t>(Window, Ctx.NumGroups - NextGroup);
-      Prefetch = std::async(std::launch::async,
-                            [this, Begin = NextGroup, Ahead] {
-                              return printWindow(Begin, Ahead);
-                            });
-    }
+    std::vector<PrintedCandidate> Out(N);
+    Backend.forEachIndex(N, [&](size_t I) {
+      size_t G = Begin + I;
+      Out[I] = {G, applyMutationGroup(Ctx.Base,
+                                      Ctx.Sorted.data() + Ctx.groupBegin(G),
+                                      Ctx.groupSize(G))};
+    });
     return Out;
   }
 
   RoundCtx &Ctx;
+  ExecBackend &Backend;
   unsigned Window;
   unsigned EmitLeft;
   size_t NextGroup = 0;
   std::vector<PrintedCandidate> Carry; ///< printed, not yet filtered
   size_t CarryPos = 0;
-  std::future<std::vector<PrintedCandidate>> Prefetch;
 };
 
 /// Judges each candidate's probe outcomes in submission order and
@@ -637,7 +630,7 @@ TestCase clfuzz::reduceTest(const TestCase &Input,
 
   // Probe the witness itself first: it establishes the invariant that
   // Best is always interesting, and (under procs) forks the worker
-  // pool before any pipelining thread exists.
+  // pool before the first round.
   {
     std::vector<ExecJob> Jobs;
     Plan.expand(Best, Jobs);
@@ -692,7 +685,7 @@ TestCase clfuzz::reduceTest(const TestCase &Input,
 
     ++Local.Rounds;
     unsigned LinesBefore = countCodeLines(Best.Source);
-    RoundCtx Round(Best, Sorted, Combo, Local, Rejected);
+    RoundCtx Round(Best, Ctx, Sorted, Combo, Local, Rejected);
     if (Opts.Trace) {
       ReduceTraceEvent E;
       E.K = ReduceTraceEvent::Kind::Round;
@@ -705,23 +698,14 @@ TestCase clfuzz::reduceTest(const TestCase &Input,
 
     ReductionAcceptSink Sink(Round, Plan, History, Opts.MaxCandidates,
                              Opts.Trace);
-    {
-      // The source owns the pipelining prefetch; its destruction at
-      // this scope's end joins any in-flight printing thread, so
-      // everything below - in particular the acceptance's mutation of
-      // Best.Source, which the prefetch reads - runs strictly after
-      // the round's helper work finished.
-      ReductionCandidateSource Source(
-          Round, Chunk, Opts.MaxCandidates - Local.CandidatesTried);
-      ShardedCampaignRun CandidateRun(
-          Source, *Backend, Chunk,
-          [&Plan](size_t, const TestCase &T, std::vector<ExecJob> &Jobs) {
-            Plan.expand(T, Jobs);
-          },
-          Sink);
-      while (CandidateRun.step())
-        ;
-    }
+    ReductionCandidateSource Source(Round, *Backend, Chunk,
+                                    Opts.MaxCandidates - Local.CandidatesTried);
+    runShardedCampaign(
+        Source, *Backend, Chunk,
+        [&Plan](size_t, const TestCase &T, std::vector<ExecJob> &Jobs) {
+          Plan.expand(T, Jobs);
+        },
+        Sink);
 
     if (Round.Accepted) {
       Best.Source = std::move(Round.AcceptedSource);

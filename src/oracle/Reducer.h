@@ -172,8 +172,9 @@ ReduceTraceFn makeJsonlReduceTrace(std::FILE *Out, std::string Tag = {});
 /// Reducer tuning: budget, settings and scheduling. The search itself
 /// has no knobs: every candidate passes the §8 reference validation,
 /// one stalled round escalates to 2- then 4-mutation candidates, and
-/// the next chunk's candidates always print while the current chunk
-/// evaluates (which changes wall-clock time only).
+/// each round's candidates print from one parse of the current best
+/// kernel across the backend's executors (which changes wall-clock
+/// time only).
 struct ReducerOptions {
   /// Upper bound on candidate evaluations (probe-job rounds actually
   /// submitted; cache-skipped candidates are free).

@@ -23,7 +23,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 
 using namespace clfuzz;
 
@@ -95,8 +100,8 @@ TEST(ThreadPoolTest, ForEachIndexCoversEveryIndexOnce) {
 TEST(ThreadPoolTest, ChunkedClaimingCoversEveryIndexOnce) {
   // Cheap batches claim several indices per lock acquisition; coverage
   // and results must be identical to single-index claiming. The
-  // two-argument overload is the generation-side path and claims
-  // CheapClaimChunk at a time.
+  // two-argument overload is the generation-side path and claims up
+  // to CheapClaimChunk at a time.
   ThreadPoolBackend Pool(ExecOptions::withThreads(4));
   const size_t N = 333; // deliberately not a multiple of any chunk
   for (unsigned Chunk : {1u, 2u, 8u, 64u}) {
@@ -110,6 +115,26 @@ TEST(ThreadPoolTest, ChunkedClaimingCoversEveryIndexOnce) {
   Pool.forEachIndex(N, [&](size_t I) { Hits[I].fetch_add(1); });
   for (size_t I = 0; I != N; ++I)
     EXPECT_EQ(Hits[I].load(), 1u) << "generation-side index " << I;
+}
+
+TEST(ThreadPoolTest, SmallGenerationBatchesUseEveryLane) {
+  // A reduction round prints its 8-candidate window through the
+  // generation-side overload; a claim as wide as the batch would hand
+  // it all to one thread. Each body waits, until one shared deadline,
+  // for a second thread to enter, so a one-lane claim fails here
+  // instead of hanging.
+  ThreadPoolBackend Pool(ExecOptions::withThreads(4));
+  std::mutex M;
+  std::condition_variable CV;
+  std::set<std::thread::id> Seen;
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  Pool.forEachIndex(8, [&](size_t) {
+    std::unique_lock<std::mutex> Lock(M);
+    Seen.insert(std::this_thread::get_id());
+    CV.notify_all();
+    CV.wait_until(Lock, Deadline, [&] { return Seen.size() > 1; });
+  });
+  EXPECT_GT(Seen.size(), 1u);
 }
 
 TEST(ThreadPoolTest, ResultsKeyedBySubmissionIndex) {

@@ -226,7 +226,8 @@ TEST(ReducerConformanceTest, CrashyWitnessReducesToCompletionUnderProcs) {
 #endif
 
 //===----------------------------------------------------------------------===//
-// Search-layer properties (backend-independent, pinned on inline)
+// Search-layer properties (backend-independent, pinned on inline and
+// on a 4-thread pool, whose executors print each candidate window)
 //===----------------------------------------------------------------------===//
 
 TEST(ReducerConformanceTest, EscalatesToMultiMutationCandidates) {
@@ -246,14 +247,44 @@ TEST(ReducerConformanceTest, EscalatesToMultiMutationCandidates) {
     return HasA == HasB;
   });
 
-  ReducerOptions Opts;
-  ReduceStats Stats;
-  TestCase Reduced = reduceTest(Witness, BothOrNeither, Opts, &Stats);
-  EXPECT_GE(Stats.Escalations, 1u);
-  EXPECT_EQ(Reduced.Source.find("noiseA"), std::string::npos)
-      << Reduced.Source;
-  EXPECT_EQ(Reduced.Source.find("noiseB"), std::string::npos)
-      << Reduced.Source;
+  ReductionRun Inline = runReduction(
+      Witness, BothOrNeither, ExecOptions::withBackend(BackendKind::Inline));
+  EXPECT_GE(Inline.Stats.Escalations, 1u);
+  EXPECT_EQ(Inline.Reduced.Source.find("noiseA"), std::string::npos)
+      << Inline.Reduced.Source;
+  EXPECT_EQ(Inline.Reduced.Source.find("noiseB"), std::string::npos)
+      << Inline.Reduced.Source;
+  expectSameRun(Inline,
+                runReduction(Witness, BothOrNeither,
+                             ExecOptions::withBackend(BackendKind::Threads, 4)),
+                "threads/4w escalation");
+
+  // The same stall over two uncalled functions: the 2-mutation group
+  // deletes both, the later one first, so the earlier removal cannot
+  // shift its partner's index.
+  TestCase Helpers = kernelFromSource(
+      "paired helpers", "int helperA(int v) { return v + 1; }\n"
+                        "int helperB(int v) { return v * 2; }\n"
+                        "kernel void k(global ulong *out) {\n"
+                        "  out[get_global_id(0)] = 7uL;\n"
+                        "}\n");
+  SourceOracle BothHelpersOrNeither([](const std::string &S) {
+    return (S.find("helperA") != std::string::npos) ==
+           (S.find("helperB") != std::string::npos);
+  });
+  ReductionRun HelpersInline =
+      runReduction(Helpers, BothHelpersOrNeither,
+                   ExecOptions::withBackend(BackendKind::Inline));
+  EXPECT_NE(HelpersInline.Trace.find(
+                "\"class\":\"delete-function\",\"combo\":2,\"lines\""),
+            std::string::npos)
+      << HelpersInline.Trace;
+  EXPECT_EQ(HelpersInline.Reduced.Source.find("helper"), std::string::npos)
+      << HelpersInline.Reduced.Source;
+  expectSameRun(HelpersInline,
+                runReduction(Helpers, BothHelpersOrNeither,
+                             ExecOptions::withBackend(BackendKind::Threads, 4)),
+                "threads/4w paired helpers");
 }
 
 TEST(ReducerConformanceTest, SkipsDuplicateCandidates) {
@@ -277,11 +308,14 @@ TEST(ReducerConformanceTest, SkipsDuplicateCandidates) {
   SourceOracle KeepsBothPads(
       [&](const std::string &S) { return CountPads(S) >= 2; });
 
-  ReducerOptions Opts;
-  ReduceStats Stats;
-  TestCase Reduced = reduceTest(Witness, KeepsBothPads, Opts, &Stats);
-  EXPECT_GE(Stats.CandidatesSkipped, 1u);
-  EXPECT_GE(CountPads(Reduced.Source), 2u);
+  ReductionRun Inline = runReduction(
+      Witness, KeepsBothPads, ExecOptions::withBackend(BackendKind::Inline));
+  EXPECT_GE(Inline.Stats.CandidatesSkipped, 1u);
+  EXPECT_GE(CountPads(Inline.Reduced.Source), 2u);
+  expectSameRun(Inline,
+                runReduction(Witness, KeepsBothPads,
+                             ExecOptions::withBackend(BackendKind::Threads, 4)),
+                "threads/4w duplicates");
 }
 
 TEST(ReducerConformanceTest, BackgroundQueueDrainsDeterministically) {
