@@ -60,16 +60,20 @@ public:
   explicit PhaseTimer(CompilePhase P)
       : P(P), Start(std::chrono::steady_clock::now()) {}
   ~PhaseTimer() {
-    addCompilePhaseSample(
-        P, static_cast<uint64_t>(
-               std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   std::chrono::steady_clock::now() - Start)
-                   .count()));
+    uint64_t Ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - Start)
+            .count());
+    addCompilePhaseSample(P, Ns > ExcludedNs ? Ns - ExcludedNs : 0);
   }
+
+  /// Leaves \p Ns of the timed span out of the sample.
+  void exclude(uint64_t Ns) { ExcludedNs += Ns; }
 
 private:
   CompilePhase P;
   std::chrono::steady_clock::time_point Start;
+  uint64_t ExcludedNs = 0;
 };
 
 /// Strips implicit casts for pattern checks against the pre-conversion
@@ -291,7 +295,8 @@ RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
 
   // --- 1. front end (parse + sema). A shared front end replaces the
   // per-cell re-parse. Pass-free cells read it directly: codegen and
-  // the front-end defect checks never mutate. Cells whose pipeline
+  // the front-end defect checks take a const ASTContext, so several
+  // cells of a column may read it at once. Cells whose pipeline
   // mutates the AST deep-clone it instead — structurally identical to
   // what a re-parse would build, so outputs are byte-identical — and
   // hand the private copy to the PassManager, leaving the shared AST
@@ -300,7 +305,8 @@ RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
   bool PipelineEmpty = pipelineIsEmpty(Bugs, RunOptimizer);
   ASTContext OwnCtx;
   std::unique_ptr<ASTContext> ClonedCtx;
-  ASTContext *CtxPtr = nullptr;
+  const ASTContext *CtxPtr = nullptr;
+  ASTContext *PrivateCtx = nullptr; ///< the one the pipeline may mutate
   if (SharedFE) {
     if (!SharedFE->ok()) {
       Out.Status = RunStatus::BuildFailure;
@@ -312,7 +318,7 @@ RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
     } else {
       PhaseTimer T(CompilePhase::Clone);
       ClonedCtx = cloneContext(SharedFE->context());
-      CtxPtr = ClonedCtx.get();
+      CtxPtr = PrivateCtx = ClonedCtx.get();
     }
   } else {
     DiagEngine Diags;
@@ -330,9 +336,9 @@ RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
       Out.Message = Diags.str();
       return Out;
     }
-    CtxPtr = &OwnCtx;
+    CtxPtr = PrivateCtx = &OwnCtx;
   }
-  ASTContext &Ctx = *CtxPtr;
+  const ASTContext &Ctx = *CtxPtr;
 
   // --- 2. configuration-specific front-end defects
   std::string FeError = frontEndChecks(Ctx, Bugs);
@@ -368,10 +374,10 @@ RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
     PhaseTimer T(CompilePhase::Opt);
     PassOptions PO =
         passPipelineOptions(Bugs, RunOptimizer, Salt, SourceHash);
-    PassManager PM = buildPipeline(PO, Ctx);
+    PassManager PM = buildPipeline(PO, *PrivateCtx);
     // The triage bisector's subset probes select pipeline positions
     // via Settings.PassMask; the default mask runs everything.
-    PM.run(Ctx, Settings.PassMask);
+    PM.run(*PrivateCtx, Settings.PassMask);
   }
 
   // --- 4. code generation
@@ -439,9 +445,15 @@ RunOutcome compileAndRun(const TestCase &Test, const DeviceBugModel &Bugs,
     LO.StepBudget = 1;
 
   LaunchResult LR = [&] {
+    // A wait for another cell's equal launch is idle time, not VM time.
     PhaseTimer T(CompilePhase::Exec);
-    return Memo ? Memo->launch(CR.Module, Buffers, Args, OutIndex, LO)
-                : launchKernel(CR.Module, Buffers, Args, LO);
+    if (!Memo)
+      return launchKernel(CR.Module, Buffers, Args, LO);
+    uint64_t WaitedNs = 0;
+    LaunchResult R = Memo->launch(CR.Module, Buffers, Args, OutIndex, LO,
+                                  &WaitedNs);
+    T.exclude(WaitedNs);
+    return R;
   }();
   Out.Steps = LR.StepsExecuted;
   Out.RaceFound = LR.RaceFound;
@@ -740,6 +752,8 @@ struct LaunchMemo::Slot {
   uint64_t Hash;
   std::string Key;
   std::vector<Outcome> Outcomes;
+  /// A cell is running this key's launch; equal launches wait for it.
+  bool InFlight = false;
 };
 
 LaunchMemo::LaunchMemo() = default;
@@ -748,34 +762,60 @@ LaunchMemo::~LaunchMemo() = default;
 LaunchResult LaunchMemo::launch(const CompiledModule &Module,
                                 std::vector<Buffer> &Buffers,
                                 const std::vector<KernelArg> &Args,
-                                int OutIndex, const LaunchOptions &Opts) {
+                                int OutIndex, const LaunchOptions &Opts,
+                                uint64_t *WaitedNs) {
   assert(OutIndex < static_cast<int>(Buffers.size()) &&
          "output index names a missing buffer");
   std::string Key = launchKey(Module, Buffers, Args, OutIndex, Opts);
   uint64_t Hash = hashLaunchKey(Key);
+  std::unique_lock<std::mutex> Lock(M);
   // A column holds a few dozen cells at most; a linear scan is enough.
-  Slot *S = nullptr;
-  for (Slot &Candidate : Slots)
-    if (Candidate.Hash == Hash && Candidate.Key == Key) {
-      S = &Candidate;
-      break;
-    }
-  if (S) {
-    for (const Outcome &O : S->Outcomes)
+  // Slots are named by index: the vector may grow while a cell waits.
+  size_t Idx = 0;
+  while (Idx != Slots.size() &&
+         !(Slots[Idx].Hash == Hash && Slots[Idx].Key == Key))
+    ++Idx;
+  if (Idx == Slots.size())
+    Slots.push_back(Slot{Hash, std::move(Key), {}});
+  // One launch of a key runs at a time, so every cell sees the
+  // outcomes of all earlier launches of its key, as in a serial run.
+  // The launch count is then a function of the budgets alone: one per
+  // distinct budget below the Success's steps, plus one Success.
+  for (;;) {
+    for (const Outcome &O : Slots[Idx].Outcomes)
       if (O.servesBudget(Opts.StepBudget)) {
         bump(Counter::VmMemoHits);
         if (OutIndex >= 0)
           Buffers[OutIndex].Bytes = O.Output;
         return O.Result;
       }
-  } else {
-    Slots.push_back(Slot{Hash, std::move(Key), {}});
-    S = &Slots.back();
+    if (!Slots[Idx].InFlight)
+      break;
+    auto T0 = std::chrono::steady_clock::now();
+    Landed.wait(Lock);
+    if (WaitedNs)
+      *WaitedNs += static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - T0)
+              .count());
   }
-  LaunchResult R = launchKernel(Module, Buffers, Args, Opts);
-  S->Outcomes.push_back(
+  Slots[Idx].InFlight = true;
+  Lock.unlock();
+  LaunchResult R;
+  try {
+    R = launchKernel(Module, Buffers, Args, Opts);
+  } catch (...) {
+    Lock.lock();
+    Slots[Idx].InFlight = false;
+    Landed.notify_all();
+    throw;
+  }
+  Lock.lock();
+  Slots[Idx].Outcomes.push_back(
       Outcome{Opts.StepBudget, R,
               OutIndex >= 0 ? Buffers[OutIndex].Bytes
                             : std::vector<uint8_t>()});
+  Slots[Idx].InFlight = false;
+  Landed.notify_all();
   return R;
 }

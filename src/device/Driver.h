@@ -24,7 +24,9 @@
 #include "gen/Generator.h"
 #include "opt/Pass.h"
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -112,8 +114,14 @@ struct RunOutcome {
 /// Sharing is observationally identical to per-cell parsing: the
 /// parser is deterministic, so every cell would reconstruct this exact
 /// AST from the same source, and a clone is structurally identical to
-/// the AST a re-parse would build. Not thread-safe; a column executes
-/// on one worker.
+/// the AST a re-parse would build.
+///
+/// Once built it is read-only shared state: the cells of a column may
+/// run on several threads at once (the thread pool's cell stealing,
+/// exec/ExecBackend.h), and every use only reads it — cloneContext,
+/// the front-end defect checks and codegen all take a const
+/// ASTContext. Whoever shares one must finish building it before any
+/// cell reads it.
 class TestFrontEnd {
 public:
   explicit TestFrontEnd(const TestCase &Test);
@@ -125,7 +133,7 @@ public:
   /// the column then reports the same BuildFailure.
   bool ok() const { return ParseOk; }
   const std::string &diagnostics() const { return Diags; }
-  ASTContext &context() const { return *Ctx; }
+  const ASTContext &context() const { return *Ctx; }
 
 private:
   std::unique_ptr<ASTContext> Ctx;
@@ -175,9 +183,14 @@ bool compileCloneEnabled();
 /// an equal budget. Otherwise the launch runs and its result is
 /// stored too.
 ///
-/// Owned by the executor of one column (runExecColumn) and dropped
-/// with it: no state outlives the column, and there is no lock. Not
-/// thread-safe.
+/// Owned by the executor of one column and dropped with it: no state
+/// outlives the column. Thread-safe: the cells of one column may run
+/// on several threads (exec/ExecBackend.h). Launches of one key run
+/// one at a time — a cell that finds an equal launch in flight waits
+/// for it, then applies the reuse rule to what it stored — so
+/// Launches and MemoHits come out as a serial run of the same cells
+/// counts them, in any order: under the reuse rule the launch count
+/// of a key depends only on the set of budgets its cells ask for.
 class LaunchMemo {
 public:
   LaunchMemo();
@@ -186,16 +199,21 @@ public:
   /// launchKernel, or a replay of an earlier launch of this memo. A
   /// replay writes only Buffers[OutIndex] (the stored output bytes;
   /// nothing when OutIndex is negative) and counts one
-  /// VmCounters::MemoHits instead of one Launches.
+  /// VmCounters::MemoHits instead of one Launches. \p WaitedNs, when
+  /// non-null, is increased by the time spent waiting for another
+  /// thread's equal launch.
   LaunchResult launch(const CompiledModule &Module,
                       std::vector<Buffer> &Buffers,
                       const std::vector<KernelArg> &Args, int OutIndex,
-                      const LaunchOptions &Opts);
+                      const LaunchOptions &Opts,
+                      uint64_t *WaitedNs = nullptr);
 
 private:
   struct Outcome;
   struct Slot;
-  std::vector<Slot> Slots;
+  std::mutex M;
+  std::condition_variable Landed; ///< an in-flight launch finished
+  std::vector<Slot> Slots;        ///< guarded by M
 };
 
 /// Compiles and runs \p Test on \p Config with optimisations

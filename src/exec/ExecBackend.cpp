@@ -11,9 +11,11 @@
 #include "exec/RemoteBackend.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cstdlib>
+#include <deque>
 #include <iterator>
 
 using namespace clfuzz;
@@ -79,54 +81,89 @@ clfuzz::groupIntoColumns(const std::vector<ExecJob> &Jobs) {
   return Cols;
 }
 
-std::vector<RunOutcome> clfuzz::runExecColumn(const ExecColumn &Column) {
-  std::vector<RunOutcome> Out;
-  Out.reserve(Column.Jobs.size());
-  // A lone cell has no one to share a front end or a launch with: the
-  // fresh-parse path costs it parse + sema, where a shared front end
-  // would add a deep clone for an optimising cell.
-  if (Column.Jobs.size() == 1) {
-    Out.push_back(runExecJob(Column.Jobs.front()));
+namespace {
+
+/// The per-column cell runner: the state a column's cells share — one
+/// TestFrontEnd and one LaunchMemo — and the rule for running cell I
+/// against it. runExecColumn runs the cells in order on one thread;
+/// the thread pool runs them from both ends on several (see
+/// ThreadPoolBackend::runColumns). runCell may run concurrently for
+/// distinct cells: the front end is built once and then only read,
+/// and the memo takes a lock. The last cell to finish drops both, so a
+/// batch holds the shared state of the columns in progress only.
+class ColumnRunner {
+public:
+  explicit ColumnRunner(const ExecColumn &Column)
+      : Column(Column), Memo(std::make_unique<LaunchMemo>()),
+        Unfinished(Column.Jobs.size()) {}
+
+  RunOutcome runCell(size_t I) {
+    RunOutcome Out = runCellShared(I);
+    if (--Unfinished == 0) {
+      FE.reset();
+      Memo.reset();
+    }
     return Out;
   }
-  // Built on the first cell that reaches the driver, so a column of
-  // fault-injection cells never pays the parse.
-  std::unique_ptr<TestFrontEnd> FE;
-  // Most cells of a column launch the same bytecode on the same inputs
-  // (their configurations' bug models did not fire): each distinct
-  // launch runs once. Launches can only repeat between cells whose
-  // settings give the VM the same scheduler seed, dead-array contents
-  // and race detection; a cell with no such partner in its column
-  // (a one-cell column, or a reducer's race-detecting reference run
-  // beside its plain configuration run) could only pay for the key.
-  LaunchMemo Memo;
-  auto MayRepeatLaunch = [&](const RunSettings &S) {
+
+private:
+  RunOutcome runCellShared(size_t I) {
+    const ExecJob &J = Column.Jobs[I];
+    assert(J.Test == Column.Jobs.front().Test &&
+           "column cells must share one test");
+    // A lone cell has no one to share a front end or a launch with:
+    // the fresh-parse path costs it parse + sema, where a shared front
+    // end would add a deep clone for an optimising cell. The
+    // fault-injection hooks bypass the driver (and the memo) entirely;
+    // route them through runExecJob so the process-pool isolation
+    // tests see the same behaviour on the column path.
+    if (Column.Jobs.size() == 1 || J.Settings.DebugHardAbort ||
+        J.Settings.DebugSpinMs)
+      return runExecJob(J);
+    // Built by the first cell that reaches the driver, so a column of
+    // fault-injection cells never pays the parse; a cell arriving
+    // while it is built waits for it.
+    std::call_once(FEBuilt, [&] {
+      FE = std::make_unique<TestFrontEnd>(*J.Test);
+    });
+    LaunchMemo *CellMemo = mayRepeatLaunch(J.Settings) ? Memo.get() : nullptr;
+    return J.Config ? runTestOnConfig(*J.Test, *J.Config, J.Opt,
+                                      J.Settings, FE.get(), CellMemo)
+                    : runTestOnReference(*J.Test, J.Opt, J.Settings,
+                                         FE.get(), CellMemo);
+  }
+
+  /// Most cells of a column launch the same bytecode on the same
+  /// inputs (their configurations' bug models did not fire): each
+  /// distinct launch runs once. Launches can only repeat between cells
+  /// whose settings give the VM the same scheduler seed, dead-array
+  /// contents and race detection; a cell with no such partner in its
+  /// column (a reducer's race-detecting reference run beside its plain
+  /// configuration run) could only pay for the key.
+  bool mayRepeatLaunch(const RunSettings &S) const {
     size_t Partners = 0;
     for (const ExecJob &Other : Column.Jobs)
       Partners += Other.Settings.SchedulerSeed == S.SchedulerSeed &&
                   Other.Settings.InvertDead == S.InvertDead &&
                   Other.Settings.DetectRaces == S.DetectRaces;
     return Partners > 1; // the cell itself is one
-  };
-  for (const ExecJob &J : Column.Jobs) {
-    assert(J.Test == Column.Jobs.front().Test &&
-           "column cells must share one test");
-    // The fault-injection hooks bypass the driver (and the memo)
-    // entirely; route them through runExecJob so the process-pool
-    // isolation tests see the same behaviour on the column path.
-    if (J.Settings.DebugHardAbort || J.Settings.DebugSpinMs) {
-      Out.push_back(runExecJob(J));
-      continue;
-    }
-    if (!FE)
-      FE = std::make_unique<TestFrontEnd>(*J.Test);
-    LaunchMemo *CellMemo = MayRepeatLaunch(J.Settings) ? &Memo : nullptr;
-    Out.push_back(J.Config
-                      ? runTestOnConfig(*J.Test, *J.Config, J.Opt,
-                                        J.Settings, FE.get(), CellMemo)
-                      : runTestOnReference(*J.Test, J.Opt, J.Settings,
-                                           FE.get(), CellMemo));
   }
+
+  const ExecColumn &Column;
+  std::once_flag FEBuilt;
+  std::unique_ptr<TestFrontEnd> FE;
+  std::unique_ptr<LaunchMemo> Memo;
+  std::atomic<size_t> Unfinished;
+};
+
+} // namespace
+
+std::vector<RunOutcome> clfuzz::runExecColumn(const ExecColumn &Column) {
+  ColumnRunner Runner(Column);
+  std::vector<RunOutcome> Out;
+  Out.reserve(Column.Jobs.size());
+  for (size_t I = 0; I != Column.Jobs.size(); ++I)
+    Out.push_back(Runner.runCell(I));
   return Out;
 }
 
@@ -307,21 +344,87 @@ ThreadPoolBackend::run(const std::vector<ExecJob> &Jobs) {
   return Results;
 }
 
+namespace {
+
+/// The two-ended cell claim of ThreadPoolBackend::runColumns. A lane
+/// works through the column it owns from the front; a lane without one
+/// claims the next unclaimed column, in order; once every column is
+/// claimed, an idle lane steals the last unstarted cell of the column
+/// with the most unstarted cells. Each call hands out one unstarted
+/// cell, so as many calls as cells run every cell exactly once.
+class CellClaims {
+public:
+  struct Cell {
+    size_t Column;
+    size_t Index;
+  };
+
+  explicit CellClaims(const std::vector<ExecColumn> &Columns) {
+    Cols.reserve(Columns.size());
+    for (const ExecColumn &C : Columns)
+      Cols.push_back({0, C.Jobs.size(), std::thread::id()});
+  }
+
+  Cell next() {
+    std::thread::id Me = std::this_thread::get_id();
+    std::lock_guard<std::mutex> Lock(M);
+    for (size_t C = 0; C != NextColumn; ++C)
+      if (Cols[C].Owner == Me && Cols[C].Front != Cols[C].Back)
+        return {C, Cols[C].Front++};
+    while (NextColumn != Cols.size()) {
+      Range &R = Cols[NextColumn++];
+      R.Owner = Me;
+      if (R.Front != R.Back)
+        return {NextColumn - 1, R.Front++};
+    }
+    size_t Victim = 0;
+    for (size_t C = 1; C != Cols.size(); ++C)
+      if (Cols[C].Back - Cols[C].Front >
+          Cols[Victim].Back - Cols[Victim].Front)
+        Victim = C;
+    assert(Cols[Victim].Front != Cols[Victim].Back &&
+           "more claims than cells");
+    return {Victim, --Cols[Victim].Back};
+  }
+
+private:
+  /// A column's unstarted cells are [Front, Back).
+  struct Range {
+    size_t Front, Back;
+    std::thread::id Owner;
+  };
+  std::mutex M;
+  std::vector<Range> Cols;
+  size_t NextColumn = 0;
+};
+
+} // namespace
+
 std::vector<RunOutcome>
 ThreadPoolBackend::runColumns(const std::vector<ExecColumn> &Columns) {
-  // One pool index per column so the shared front end stays on one
-  // worker; per-column results land in their own slot and flatten in
-  // submission order, keeping output keyed by index as always. Columns
-  // contain timeout-heavy cells, so claim one at a time.
-  std::vector<std::vector<RunOutcome>> Per(Columns.size());
+  // One pool index per cell; each index runs whichever cell the
+  // two-ended claim hands out, against its column's shared front end
+  // and launch memo, and lands in that cell's slot of the flattened
+  // submission order. Columns hold timeout-heavy cells, so claim one
+  // index at a time.
+  std::vector<size_t> Offset;
+  size_t Cells = 0;
+  std::deque<ColumnRunner> Runners;
+  for (const ExecColumn &Col : Columns) {
+    Offset.push_back(Cells);
+    Cells += Col.Jobs.size();
+    Runners.emplace_back(Col);
+  }
+  CellClaims Claims(Columns);
+  std::vector<RunOutcome> Results(Cells);
   forEachIndex(
-      Columns.size(),
-      [&](size_t I) { Per[I] = runExecColumn(Columns[I]); }, 1);
-  std::vector<RunOutcome> Results;
-  for (std::vector<RunOutcome> &ColResults : Per)
-    Results.insert(Results.end(),
-                   std::make_move_iterator(ColResults.begin()),
-                   std::make_move_iterator(ColResults.end()));
+      Cells,
+      [&](size_t) {
+        CellClaims::Cell C = Claims.next();
+        Results[Offset[C.Column] + C.Index] =
+            Runners[C.Column].runCell(C.Index);
+      },
+      1);
   return Results;
 }
 

@@ -191,8 +191,8 @@ RunOutcome runExecJob(const ExecJob &Job);
 
 /// A campaign column: the consecutive cells of one test — every job
 /// references the same TestCase — in submission order. Executing a
-/// column as a unit lets the worker parse and check the kernel source
-/// once and reuse the front end for every cell (device/Driver.h's
+/// column as a unit lets the executor parse and check the kernel
+/// source once and reuse the front end for every cell (device/Driver.h's
 /// TestFrontEnd): pass-free cells read it, optimising cells deep-clone
 /// it (see frontEndUseFor) — instead of re-parsing per cell. Columns
 /// are an execution-granularity choice only: outcomes are
@@ -211,8 +211,10 @@ std::vector<ExecColumn> groupIntoColumns(const std::vector<ExecJob> &Jobs);
 /// Executes one column on the calling thread, sharing a lazily built
 /// TestFrontEnd across its cells (each reads or clones it, see
 /// frontEndUseFor) and a LaunchMemo, so each distinct launch runs once
-/// (fault-injection cells bypass both). Outcomes are in job order and
-/// byte-identical to per-cell runExecJob calls, which parse per cell.
+/// (fault-injection cells and one-cell columns bypass both). Outcomes
+/// are in job order and byte-identical to per-cell runExecJob calls,
+/// which parse per cell. The thread pool runs the same per-column cell
+/// runner, with the column's cells spread over its lanes.
 std::vector<RunOutcome> runExecColumn(const ExecColumn &Column);
 
 
@@ -233,10 +235,10 @@ public:
 
   /// Runs a batch of campaign columns (ExecColumn above): the
   /// flattened outcome vector matches a run() over the flattened job
-  /// list byte for byte. Backends that can keep a column on one worker
-  /// override this to amortise the front end across the column's
-  /// cells; the default flattens and delegates to run(), which is what
-  /// the caching wrapper does (cache keys stay per-cell).
+  /// list byte for byte. Backends override this to share one front end
+  /// and launch memo among a column's cells; the default flattens and
+  /// delegates to run(), which is what the caching wrapper does (cache
+  /// keys stay per-cell).
   virtual std::vector<RunOutcome>
   runColumns(const std::vector<ExecColumn> &Columns);
 
@@ -272,6 +274,15 @@ public:
 /// indices alongside them. One-thread pools and one-index batches run
 /// the base class's serial loop and wake no worker, so Threads == 1
 /// doubles as the historical serial path.
+///
+/// runColumns keeps every lane busy in narrow and ragged batches:
+/// lanes claim whole columns in order and work through them from the
+/// front; once no column is left unclaimed, an idle lane steals the
+/// last unstarted cell of the column with the most unstarted cells
+/// and runs it against that column's front end and launch memo. Each
+/// cell runs exactly once, so outcomes and the compile and VM
+/// counters equal a serial run's: one parse per column, one clone per
+/// optimising cell, and the same launches and memo hits.
 class ThreadPoolBackend final : public ExecBackend {
 public:
   explicit ThreadPoolBackend(const ExecOptions &Opts = ExecOptions());
@@ -288,8 +299,8 @@ public:
   /// Generation-side work: cheap and uniform, so it claims several
   /// indices at a time, scaled to the batch — N / (4 x threads),
   /// clamped to [1, CheapClaimChunk] — so a wide batch cuts lock
-  /// traffic while a narrow one (a reduction round's window of 8
-  /// candidates to print) still spreads over every lane.
+  /// traffic while a narrow one (a reduction round's window of one
+  /// candidate per lane to print) still spreads over every lane.
   void forEachIndex(size_t N,
                     const std::function<void(size_t)> &Body) override;
 

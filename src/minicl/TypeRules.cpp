@@ -9,7 +9,7 @@
 
 using namespace clfuzz;
 
-const ScalarType *clfuzz::promote(TypeContext &Types,
+const ScalarType *clfuzz::promote(const TypeContext &Types,
                                   const ScalarType *T) {
   if (T->rank() < Types.intTy()->rank() || T->isBool())
     return Types.intTy();
@@ -17,7 +17,8 @@ const ScalarType *clfuzz::promote(TypeContext &Types,
 }
 
 const ScalarType *
-clfuzz::usualArithmeticConversions(TypeContext &Types, const ScalarType *A,
+clfuzz::usualArithmeticConversions(const TypeContext &Types,
+                                   const ScalarType *A,
                                    const ScalarType *B) {
   const ScalarType *PA = promote(Types, A);
   const ScalarType *PB = promote(Types, B);

@@ -29,11 +29,11 @@ namespace clfuzz {
 
 /// C99 integer promotion: ranks below int promote to int (bool also
 /// promotes to int).
-const ScalarType *promote(TypeContext &Types, const ScalarType *T);
+const ScalarType *promote(const TypeContext &Types, const ScalarType *T);
 
 /// C99 usual arithmetic conversions over two scalar types. size_t
 /// behaves as a 64-bit unsigned integer.
-const ScalarType *usualArithmeticConversions(TypeContext &Types,
+const ScalarType *usualArithmeticConversions(const TypeContext &Types,
                                              const ScalarType *A,
                                              const ScalarType *B);
 

@@ -651,11 +651,13 @@ TestCase clfuzz::reduceTest(const TestCase &Input,
     }
   }
 
-  // Speculation width: serial backends evaluate one candidate at a
-  // time (the historical early-exit loop); parallel backends speculate
-  // a chunk ahead and keep the first-in-order success.
-  const unsigned Chunk =
-      Backend->concurrency() > 1 ? Backend->concurrency() * 2 : 1;
+  // Speculation width: one candidate per executor (serial backends
+  // evaluate one at a time, the historical early-exit loop), keeping
+  // the first-in-order success. A round usually accepts within its
+  // first few candidates, so a wider batch mostly runs cells the round
+  // then throws away; the thread pool's cell stealing keeps every lane
+  // busy in a batch this narrow.
+  const unsigned Chunk = Backend->concurrency();
 
   ClassHistory History[NumMutationClasses];
   std::unordered_set<std::string> Rejected;

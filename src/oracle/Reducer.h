@@ -183,7 +183,8 @@ struct ReducerOptions {
   /// Candidate evaluation scheduling: Exec.Backend picks the
   /// ExecBackend (inline / threads / fork-isolated procs) and
   /// Exec.Threads the worker count. With more than one worker,
-  /// candidates are evaluated speculatively in chunks and the
+  /// candidates are evaluated speculatively in batches of one
+  /// candidate per executor (the backend's concurrency()) and the
   /// first-in-submission-order success is kept, so the reduction
   /// sequence (and the stats, and the trace) match a serial run
   /// exactly on every backend.

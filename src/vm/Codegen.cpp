@@ -18,15 +18,15 @@ namespace {
 /// Per-module code generator.
 class Codegen {
 public:
-  Codegen(ASTContext &Ctx, const CodegenOptions &Opts)
+  Codegen(const ASTContext &Ctx, const CodegenOptions &Opts)
       : Ctx(Ctx), Types(Ctx.types()), Opts(Opts), Layout(Opts.Layout) {}
 
   CodegenResult run();
 
 private:
   // --- module-level state
-  ASTContext &Ctx;
-  TypeContext &Types;
+  const ASTContext &Ctx;
+  const TypeContext &Types;
   CodegenOptions Opts;
   LayoutEngine Layout;
   CompiledModule Module;
@@ -857,7 +857,7 @@ CodegenResult Codegen::run() {
   return R;
 }
 
-CodegenResult clfuzz::compileToBytecode(ASTContext &Ctx,
+CodegenResult clfuzz::compileToBytecode(const ASTContext &Ctx,
                                         const CodegenOptions &Opts) {
   return Codegen(Ctx, Opts).run();
 }

@@ -46,8 +46,9 @@ struct CodegenResult {
   CompiledModule Module;
 };
 
-/// Compiles the (sema-checked) program in \p Ctx.
-CodegenResult compileToBytecode(ASTContext &Ctx,
+/// Compiles the (sema-checked) program in \p Ctx. Only reads it, so
+/// several threads may compile one shared context at once.
+CodegenResult compileToBytecode(const ASTContext &Ctx,
                                 const CodegenOptions &Opts = {});
 
 } // namespace clfuzz

@@ -511,6 +511,25 @@ TEST(CompilePipelineTest, CountersMatchAdmissionArithmetic) {
   uint64_t OptsShared = After.Opts - Before.Opts;
   EXPECT_LE(OptsShared, CloneCells);
   EXPECT_GT(OptsShared, 0u);
+  uint64_t Launches = VmAfter.Launches - VmBefore.Launches;
+
+  // Three columns on four lanes: idle lanes steal cells of the busy
+  // columns. A stolen cell still reads its column's one front end and
+  // launch memo, so every repeat counts exactly what inline counted.
+  for (int Repeat = 0; Repeat != 5; ++Repeat) {
+    std::string Ctx = "threads(4) repeat " + std::to_string(Repeat);
+    CompileCounters T0 = compileCounters();
+    VmCounters V0 = vmCounters();
+    runWorkload(W, BackendKind::Threads, 4, /*MemCache=*/false);
+    CompileCounters T1 = compileCounters();
+    VmCounters V1 = vmCounters();
+    EXPECT_EQ(T1.Parses - T0.Parses, Columns) << Ctx;
+    EXPECT_EQ(T1.Semas - T0.Semas, Columns) << Ctx;
+    EXPECT_EQ(T1.Clones - T0.Clones, CloneCells) << Ctx;
+    EXPECT_EQ(T1.Opts - T0.Opts, OptsShared) << Ctx;
+    EXPECT_EQ(V1.Launches - V0.Launches, Launches) << Ctx;
+    EXPECT_EQ(V1.MemoHits - V0.MemoHits, MemoHits) << Ctx;
+  }
 
   Before = compileCounters();
   VmBefore = vmCounters();

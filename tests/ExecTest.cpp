@@ -118,10 +118,10 @@ TEST(ThreadPoolTest, ChunkedClaimingCoversEveryIndexOnce) {
 }
 
 TEST(ThreadPoolTest, SmallGenerationBatchesUseEveryLane) {
-  // A reduction round prints its 8-candidate window through the
-  // generation-side overload; a claim as wide as the batch would hand
-  // it all to one thread. Each body waits, until one shared deadline,
-  // for a second thread to enter, so a one-lane claim fails here
+  // A reduction round prints its window of one candidate per lane
+  // through the generation-side overload; a claim as wide as the batch
+  // would hand it all to one thread. Each body waits, until one shared
+  // deadline, for a second thread to enter, so a one-lane claim fails here
   // instead of hanging.
   ThreadPoolBackend Pool(ExecOptions::withThreads(4));
   std::mutex M;
@@ -135,6 +135,51 @@ TEST(ThreadPoolTest, SmallGenerationBatchesUseEveryLane) {
     CV.wait_until(Lock, Deadline, [&] { return Seen.size() > 1; });
   });
   EXPECT_GT(Seen.size(), 1u);
+}
+
+TEST(ThreadPoolTest, NarrowColumnBatchesUseEveryLane) {
+  // Two columns of four cells on four lanes: two lanes own the
+  // columns, the other two must steal cells from their tails. Every
+  // cell first stalls for StallMs, so on at most two lanes the batch
+  // cannot finish before the shared deadline of 4 x StallMs (two
+  // lanes, four stalls each), while four lanes need about half that;
+  // a pool that claimed only whole columns fails here instead of
+  // hanging. Outcomes must still equal inline's.
+  std::vector<DeviceConfig> Zoo = smallZoo();
+  const uint32_t StallMs = 200;
+  RunSettings Stall;
+  Stall.DebugSpinMs = StallMs;
+  std::vector<TestCase> Tests;
+  for (uint64_t Seed : {31, 32}) {
+    GenOptions GO;
+    GO.Mode = GenMode::Basic;
+    GO.Seed = Seed;
+    GO.MinThreads = 16;
+    GO.MaxThreads = 32;
+    Tests.push_back(TestCase::fromGenerated(generateKernel(GO)));
+  }
+  std::vector<ExecColumn> Columns(Tests.size());
+  for (size_t T = 0; T != Tests.size(); ++T)
+    for (const DeviceConfig &C : Zoo)
+      Columns[T].Jobs.push_back(
+          ExecJob::onConfig(Tests[T], C, /*Opt=*/T == 1, Stall));
+
+  ThreadPoolBackend Pool(ExecOptions::withThreads(4));
+  auto Deadline = std::chrono::steady_clock::now() +
+                  std::chrono::milliseconds(4 * StallMs);
+  std::vector<RunOutcome> Got = Pool.runColumns(Columns);
+  EXPECT_LT(std::chrono::steady_clock::now(), Deadline)
+      << "the cells ran on at most two lanes";
+
+  std::vector<RunOutcome> Want = InlineBackend().runColumns(Columns);
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t I = 0; I != Got.size(); ++I) {
+    EXPECT_EQ(Got[I].Status, Want[I].Status) << "cell " << I;
+    EXPECT_EQ(Got[I].Message, Want[I].Message) << "cell " << I;
+    EXPECT_EQ(Got[I].OutputHash, Want[I].OutputHash) << "cell " << I;
+    EXPECT_EQ(Got[I].OutputHead, Want[I].OutputHead) << "cell " << I;
+    EXPECT_EQ(Got[I].Steps, Want[I].Steps) << "cell " << I;
+  }
 }
 
 TEST(ThreadPoolTest, ResultsKeyedBySubmissionIndex) {

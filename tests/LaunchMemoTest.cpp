@@ -10,9 +10,11 @@
 // because a replay is indistinguishable from a fresh launch. This suite
 // pins the reuse rule at the budget seams (a Success serves any budget
 // covering its steps; Timeout and Trap only their own budget), that
-// every key component separates launches, that keys are structural
-// (a cloned context's module hits), that fault-injection cells bypass
-// the memo, and that whole-zoo columns equal per-cell execution.
+// concurrent launches of one key count as a serial run counts them in
+// any order, that every key component separates launches, that keys
+// are structural (a cloned context's module hits), that fault-injection
+// cells bypass the memo, and that whole-zoo columns equal per-cell
+// execution.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,9 +30,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 using namespace clfuzz;
@@ -207,6 +213,92 @@ TEST(LaunchMemoTest, TrapServesOnlyItsOwnBudget) {
   Result Larger = viaMemo(Memo, C.Module, L);
   EXPECT_FALSE(Larger.Hit);
   expectSame(Larger, fresh(C.Module, L), "larger budget");
+}
+
+TEST(LaunchMemoTest, ConcurrentEqualLaunchesRunOnce) {
+  // Four threads of one column launch one key at once: the first runs
+  // it, the others wait for it and replay it.
+  Compiled C = compile(SumSource);
+  Result Want = fresh(C.Module, sumLaunch());
+  for (int Repeat = 0; Repeat != 5; ++Repeat) {
+    LaunchMemo Memo;
+    VmCounters V0 = vmCounters();
+    std::vector<LaunchResult> Got(4);
+    std::vector<std::vector<uint8_t>> Out(4);
+    std::vector<std::thread> Threads;
+    for (size_t T = 0; T != Got.size(); ++T)
+      Threads.emplace_back([&, T] {
+        Launch L = sumLaunch();
+        Got[T] = Memo.launch(C.Module, L.Buffers, L.Args, L.OutIndex, L.Opts);
+        Out[T] = L.Buffers[L.OutIndex].Bytes;
+      });
+    for (std::thread &T : Threads)
+      T.join();
+    VmCounters V1 = vmCounters();
+    EXPECT_EQ(V1.Launches - V0.Launches, 1u) << "repeat " << Repeat;
+    EXPECT_EQ(V1.MemoHits - V0.MemoHits, 3u) << "repeat " << Repeat;
+    for (size_t T = 0; T != Got.size(); ++T)
+      expectSame(Result{Got[T], Out[T], false}, Want,
+                 "thread " + std::to_string(T));
+  }
+}
+
+TEST(LaunchMemoTest, MixedBudgetsCountTheSameInEveryOrder) {
+  // One key under five budgets: a Success of S steps serves the two
+  // budgets above S, and each Timeout only its own budget, so any
+  // order — and any interleaving of concurrent submissions — runs one
+  // launch per distinct budget below S plus one Success.
+  Compiled C = compile(SumSource);
+  uint64_t S = fresh(C.Module, sumLaunch()).LR.StepsExecuted;
+  uint64_t Low = S * 2 / 3;
+  std::vector<uint64_t> Budgets = {Low, S * 4 / 3, 2 * S, Low, Low};
+
+  std::map<uint64_t, Result> Fresh;
+  for (uint64_t B : Budgets)
+    Fresh[B] = fresh(C.Module, withBudget(B));
+
+  auto Serial = [&](const std::vector<uint64_t> &Order) {
+    LaunchMemo Memo;
+    std::vector<Result> Got;
+    VmCounters V0 = vmCounters();
+    for (uint64_t B : Order)
+      Got.push_back(viaMemo(Memo, C.Module, withBudget(B)));
+    VmCounters V1 = vmCounters();
+    for (size_t I = 0; I != Order.size(); ++I)
+      expectSame(Got[I], Fresh[Order[I]],
+                 "budget " + std::to_string(Order[I]));
+    return std::pair{V1.Launches - V0.Launches, V1.MemoHits - V0.MemoHits};
+  };
+  std::vector<uint64_t> Order = Budgets;
+  std::sort(Order.begin(), Order.end());
+  auto Want = Serial(Order);
+  EXPECT_EQ(Want.first, 2u);
+  EXPECT_EQ(Want.second, 3u);
+  do {
+    EXPECT_EQ(Serial(Order), Want);
+  } while (std::next_permutation(Order.begin(), Order.end()));
+
+  for (int Repeat = 0; Repeat != 10; ++Repeat) {
+    LaunchMemo Memo;
+    VmCounters V0 = vmCounters();
+    std::vector<Result> Got(Budgets.size());
+    std::vector<std::thread> Threads;
+    for (size_t T = 0; T != Budgets.size(); ++T)
+      Threads.emplace_back([&, T] {
+        Launch L = withBudget(Budgets[T]);
+        Got[T].LR =
+            Memo.launch(C.Module, L.Buffers, L.Args, L.OutIndex, L.Opts);
+        Got[T].Out = L.Buffers[L.OutIndex].Bytes;
+      });
+    for (std::thread &T : Threads)
+      T.join();
+    VmCounters V1 = vmCounters();
+    EXPECT_EQ(V1.Launches - V0.Launches, Want.first) << "repeat " << Repeat;
+    EXPECT_EQ(V1.MemoHits - V0.MemoHits, Want.second) << "repeat " << Repeat;
+    for (size_t T = 0; T != Budgets.size(); ++T)
+      expectSame(Got[T], Fresh[Budgets[T]],
+                 "concurrent budget " + std::to_string(Budgets[T]));
+  }
 }
 
 TEST(LaunchMemoTest, EveryKeyComponentSeparatesLaunches) {
