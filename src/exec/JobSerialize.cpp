@@ -272,13 +272,21 @@ ExecJob OwnedExecJob::view() const {
   return J;
 }
 
-void clfuzz::serializeExecJob(WireWriter &W, const ExecJob &Job) {
-  writeTest(W, *Job.Test);
+void clfuzz::serializeTestSegment(WireWriter &W, const TestCase &Test) {
+  writeTest(W, Test);
+}
+
+void clfuzz::serializeCellSegment(WireWriter &W, const ExecJob &Job) {
   W.u8(Job.Config != nullptr);
   if (Job.Config)
     writeConfig(W, *Job.Config);
   W.u8(Job.Opt);
   writeSettings(W, Job.Settings);
+}
+
+void clfuzz::serializeExecJob(WireWriter &W, const ExecJob &Job) {
+  serializeTestSegment(W, *Job.Test);
+  serializeCellSegment(W, Job);
 }
 
 OwnedExecJob clfuzz::deserializeExecJob(WireReader &R) {
@@ -306,15 +314,10 @@ ExecColumn OwnedExecColumn::view() const {
 }
 
 void clfuzz::serializeExecColumn(WireWriter &W, const ExecColumn &Column) {
-  writeTest(W, *Column.Jobs.front().Test);
+  serializeTestSegment(W, *Column.Jobs.front().Test);
   W.u32(static_cast<uint32_t>(Column.Jobs.size()));
-  for (const ExecJob &Job : Column.Jobs) {
-    W.u8(Job.Config != nullptr);
-    if (Job.Config)
-      writeConfig(W, *Job.Config);
-    W.u8(Job.Opt);
-    writeSettings(W, Job.Settings);
-  }
+  for (const ExecJob &Job : Column.Jobs)
+    serializeCellSegment(W, Job);
 }
 
 OwnedExecColumn clfuzz::deserializeExecColumn(WireReader &R) {
@@ -336,7 +339,7 @@ OwnedExecColumn clfuzz::deserializeExecColumn(WireReader &R) {
 std::vector<uint8_t> clfuzz::descriptorBytes(const ExecJob &Job) {
   WireWriter W;
   serializeExecJob(W, Job);
-  return W.buffer();
+  return W.take();
 }
 
 uint64_t clfuzz::hashDescriptor(const ExecJob &Job) {

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace clfuzz {
@@ -47,6 +48,8 @@ public:
   void bytes(const std::vector<uint8_t> &B);
 
   const std::vector<uint8_t> &buffer() const { return Buf; }
+  /// Moves the bytes written so far out, leaving the writer empty.
+  std::vector<uint8_t> take() { return std::move(Buf); }
 
 private:
   std::vector<uint8_t> Buf;
@@ -88,6 +91,15 @@ struct OwnedExecJob {
   /// A view into this object's storage; valid while it lives.
   ExecJob view() const;
 };
+
+/// A job descriptor is two segments: the test case, then the cell's
+/// own (config, opt, settings) record. serializeExecJob writes both;
+/// a column frame writes the test segment once and one cell segment
+/// per job, and the outcome cache keys a column the same way
+/// (exec/OutcomeCache.h). The test segment is self-delimiting, so two
+/// descriptors are equal exactly when both segments are.
+void serializeTestSegment(WireWriter &W, const TestCase &Test);
+void serializeCellSegment(WireWriter &W, const ExecJob &Job);
 
 void serializeExecJob(WireWriter &W, const ExecJob &Job);
 OwnedExecJob deserializeExecJob(WireReader &R);

@@ -66,9 +66,11 @@ std::string hex16(uint64_t V) {
   return Buf;
 }
 
-/// Approximate resident cost of one entry, for the LRU budget.
-size_t entryCost(const std::vector<uint8_t> &Bytes, const RunOutcome &O) {
-  return Bytes.size() + O.Message.size() + O.RaceMessage.size() +
+/// Approximate resident cost of one entry, for the LRU budget. It
+/// charges the whole descriptor although a column's entries share one
+/// test segment, so eviction does not depend on which keys share.
+size_t entryCost(const OutcomeCache::Key &K, const RunOutcome &O) {
+  return K.size() + O.Message.size() + O.RaceMessage.size() +
          O.OutputHead.size() * sizeof(uint64_t) + 160;
 }
 
@@ -86,15 +88,44 @@ OutcomeCache::OutcomeCache(OutcomeCacheOptions O) : Opts(std::move(O)) {
   }
 }
 
+std::vector<uint8_t> OutcomeCache::Key::bytes() const {
+  std::vector<uint8_t> B;
+  B.reserve(size());
+  B.insert(B.end(), Test->begin(), Test->end());
+  B.insert(B.end(), Cell.begin(), Cell.end());
+  return B;
+}
+
+std::vector<OutcomeCache::Key>
+OutcomeCache::keysOf(const std::vector<ExecJob> &Jobs) const {
+  std::vector<Key> Keys(Jobs.size());
+  std::shared_ptr<const std::vector<uint8_t>> Test;
+  Fnv64 TestHash;
+  for (size_t I = 0; I != Jobs.size(); ++I) {
+    if (I == 0 || Jobs[I].Test != Jobs[I - 1].Test) {
+      WireWriter W;
+      serializeTestSegment(W, *Jobs[I].Test);
+      Test = std::make_shared<const std::vector<uint8_t>>(W.take());
+      TestHash = Fnv64().addBytes(Test->data(), Test->size());
+    }
+    Key &K = Keys[I];
+    WireWriter W;
+    serializeCellSegment(W, Jobs[I]);
+    K.Test = Test;
+    K.Cell = W.take();
+    // FNV-1a is a running state, so continuing the test segment's
+    // state over the cell's bytes gives hashDescriptor(Jobs[I]).
+    uint64_t Canonical =
+        Fnv64(TestHash).addBytes(K.Cell.data(), K.Cell.size()).value();
+    K.Hash = Opts.KeySalt
+                 ? Fnv64().addU64(Canonical).addU64(Opts.KeySalt).value()
+                 : Canonical;
+  }
+  return Keys;
+}
+
 OutcomeCache::Key OutcomeCache::keyOf(const ExecJob &Job) const {
-  Key K;
-  K.Bytes = descriptorBytes(Job);
-  uint64_t Canonical = fnv64(K.Bytes.data(), K.Bytes.size());
-  // == hashDescriptor(Job), without serializing the descriptor twice.
-  K.Hash = Opts.KeySalt
-               ? Fnv64().addU64(Canonical).addU64(Opts.KeySalt).value()
-               : Canonical;
-  return K;
+  return std::move(keysOf({Job}).front());
 }
 
 size_t OutcomeCache::shardBudget() const {
@@ -105,7 +136,7 @@ bool OutcomeCache::lookupMem(const Key &K, RunOutcome &Out) {
   Shard &S = shardFor(K.Hash);
   std::lock_guard<std::mutex> Lock(S.Mu);
   auto It = S.Index.find(K.Hash);
-  if (It == S.Index.end() || It->second->Bytes != K.Bytes)
+  if (It == S.Index.end() || !It->second->K.sameDescriptor(K))
     return false;
   S.Lru.splice(S.Lru.begin(), S.Lru, It->second);
   Out = It->second->Outcome;
@@ -125,10 +156,9 @@ void OutcomeCache::insertMem(const Key &K, const RunOutcome &O) {
     S.Index.erase(It);
   }
   Entry E;
-  E.Hash = K.Hash;
-  E.Bytes = K.Bytes;
+  E.K = K;
   E.Outcome = O;
-  E.Cost = entryCost(K.Bytes, O);
+  E.Cost = entryCost(K, O);
   S.Bytes += E.Cost;
   S.Lru.push_front(std::move(E));
   S.Index.emplace(K.Hash, S.Lru.begin());
@@ -137,7 +167,7 @@ void OutcomeCache::insertMem(const Key &K, const RunOutcome &O) {
   while (S.Bytes > shardBudget() && S.Lru.size() > 1) {
     Entry &Victim = S.Lru.back();
     S.Bytes -= Victim.Cost;
-    S.Index.erase(Victim.Hash);
+    S.Index.erase(Victim.K.Hash);
     S.Lru.pop_back();
   }
 }
@@ -179,7 +209,7 @@ bool OutcomeCache::lookupDisk(const Key &K, RunOutcome &Out) {
       throw std::runtime_error("trailing bytes");
     if (Sum != fnv64(Blob.data(), BodyLen))
       throw std::runtime_error("checksum mismatch");
-    if (Desc != K.Bytes)
+    if (Desc != K.bytes())
       throw std::runtime_error("descriptor mismatch");
     Out = std::move(O);
   } catch (const std::exception &) {
@@ -196,7 +226,7 @@ void OutcomeCache::storeDisk(const Key &K, const RunOutcome &O) {
   W.u32(EntryMagic);
   W.u32(FormatVersion);
   W.u64(Opts.KeySalt);
-  W.bytes(K.Bytes);
+  W.bytes(K.bytes());
   serializeRunOutcome(W, O);
   uint64_t Sum = fnv64(W.buffer().data(), W.buffer().size());
   W.u64(Sum);
@@ -314,7 +344,7 @@ public:
     if (Jobs.empty())
       return Results;
 
-    std::vector<OutcomeCache::Key> Keys(Jobs.size());
+    std::vector<OutcomeCache::Key> Keys = Cache->keysOf(Jobs);
     std::vector<ExecJob> Dispatch;          ///< one leader per unique miss
     std::vector<size_t> LeaderJob;          ///< leader's submission index
     std::vector<std::vector<size_t>> Followers; ///< coalesced indices
@@ -324,14 +354,13 @@ public:
     uint64_t CoalescedHere = 0;
 
     for (size_t I = 0; I != Jobs.size(); ++I) {
-      Keys[I] = Cache->keyOf(Jobs[I]);
       // Identical descriptor already dispatching in this batch? Fold
       // onto it: one execution, N submission indices.
       bool Folded = false;
       auto It = Pending.find(Keys[I].Hash);
       if (It != Pending.end()) {
         for (size_t Pos : It->second) {
-          if (Keys[LeaderJob[Pos]].Bytes == Keys[I].Bytes) {
+          if (Keys[LeaderJob[Pos]].sameDescriptor(Keys[I])) {
             Followers[Pos].push_back(I);
             Folded = true;
             ++CoalescedHere;
@@ -354,7 +383,7 @@ public:
       // Misses keep their submission order, so consecutive misses of
       // one test still form columns: a cold cache pays the parse once
       // per surviving column, not once per cell. Cache keys were
-      // derived per cell above — column framing is transport only.
+      // derived per cell above, from one test segment per column.
       std::vector<RunOutcome> Outs =
           Inner->runColumns(groupIntoColumns(Dispatch));
       for (size_t D = 0; D != Dispatch.size(); ++D) {

@@ -49,6 +49,7 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -119,17 +120,35 @@ public:
   OutcomeCache &operator=(const OutcomeCache &) = delete;
 
   /// A computed cache key: the salted fingerprint plus the full
-  /// canonical descriptor bytes. The bytes travel with the key so a
-  /// 64-bit fingerprint collision degrades to a miss, never to a
-  /// wrong outcome — cache hits must be unobservable.
+  /// canonical descriptor bytes, held as the test segment — one copy
+  /// shared by every key of a column — followed by the cell's own
+  /// segment (exec/JobSerialize.h), so Test + Cell ==
+  /// descriptorBytes(job). The bytes travel with the key so a 64-bit
+  /// fingerprint collision degrades to a miss, never to a wrong
+  /// outcome — cache hits must be unobservable.
   struct Key {
     uint64_t Hash = 0;
-    std::vector<uint8_t> Bytes;
+    std::shared_ptr<const std::vector<uint8_t>> Test;
+    std::vector<uint8_t> Cell;
+
+    /// The descriptor's length in bytes.
+    size_t size() const { return Test->size() + Cell.size(); }
+    /// The descriptor bytes, both segments concatenated.
+    std::vector<uint8_t> bytes() const;
+    /// Every descriptor byte equal (a shared test segment is equal by
+    /// identity).
+    bool sameDescriptor(const Key &O) const {
+      return Cell == O.Cell && (Test == O.Test || *Test == *O.Test);
+    }
   };
 
-  /// Derives \p Job's key under this cache's salt (one serialization
-  /// of the descriptor; bench/perf_microbench.cpp tracks the cost as
-  /// BM_SerializeAndHashDescriptor).
+  /// Derives the keys of \p Jobs under this cache's salt, in order.
+  /// Each run of consecutive jobs sharing one TestCase (a column)
+  /// serializes and FNV-hashes its test segment once; each cell's key
+  /// continues that hash state over the cell's own segment, so
+  /// Key::Hash still equals hashDescriptor(job) (salted).
+  std::vector<Key> keysOf(const std::vector<ExecJob> &Jobs) const;
+  /// keysOf for a single job.
   Key keyOf(const ExecJob &Job) const;
 
   /// Consults memory, then disk. True = \p Out is the cached outcome
@@ -155,8 +174,7 @@ public:
 
 private:
   struct Entry {
-    uint64_t Hash = 0;
-    std::vector<uint8_t> Bytes;
+    Key K;
     RunOutcome Outcome;
     size_t Cost = 0;
   };

@@ -299,7 +299,15 @@ void WorkerServer::acceptLoop() {
     Conn->Fd = Fd;
     Connection *C = Conn.get();
     {
+      // accept() may return a coordinator's redial while a dying
+      // server's closeAllSockets() holds ConnsMu. Registered after that
+      // sweep, the connection would answer hello and heartbeats while
+      // its runners, seeing Died, never run a cell: the coordinator
+      // would wait forever. Died is set before the sweep, so checking
+      // it here under ConnsMu closes that window.
       std::lock_guard<std::mutex> Lock(ConnsMu);
+      if (Died.load() || Stopping.load())
+        continue; // ~Connection closes the fd
       Conns.push_back(std::move(Conn));
     }
     C->Service = std::thread([this, C] { serveConnection(*C); });
@@ -444,14 +452,14 @@ void WorkerServer::runnerLoop(Connection &Conn) {
     // outcome is byte-identical to a fresh execution. The misses run
     // as one column: parsed once, launches memoized.
     std::vector<RunOutcome> Outs(N);
-    std::vector<OutcomeCache::Key> Keys(N);
+    std::vector<OutcomeCache::Key> Keys;
+    if (Cache)
+      Keys = Cache->keysOf(Col.Jobs);
     std::vector<bool> FromCache(N, false);
     ExecColumn Miss;
     for (size_t K = 0; K != N; ++K) {
-      if (Cache) {
-        Keys[K] = Cache->keyOf(Col.Jobs[K]);
+      if (Cache)
         FromCache[K] = Cache->lookup(Keys[K], Outs[K]);
-      }
       if (!FromCache[K])
         Miss.Jobs.push_back(Col.Jobs[K]);
     }

@@ -21,8 +21,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <sstream>
 #include <unordered_map>
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/mman.h>
+#endif
 
 using namespace clfuzz;
 
@@ -260,6 +265,83 @@ struct Frame {
   uint64_t Base;
 };
 
+/// A work-item's private arena: size() logical bytes whose pages stay
+/// untouched until used, of which only the prefix [0, poisoned()) has
+/// been filled with the deterministic 0xab poison. Bytes are poisoned
+/// on first reach, so a context pays resident memory for the frames
+/// its kernel touches, not for the whole arena. Every byte below
+/// poisoned() is valid to read and write; nothing above it is read.
+class PrivateArena {
+public:
+  PrivateArena() = default;
+  PrivateArena(PrivateArena &&O) noexcept { swap(O); }
+  PrivateArena &operator=(PrivateArena &&O) noexcept {
+    swap(O);
+    return *this;
+  }
+  ~PrivateArena() { release(); }
+
+  /// Reserves \p N fresh bytes with nothing poisoned.
+  void reserve(uint64_t N) {
+    release();
+    Data = N ? mapPages(N) : nullptr;
+    Size = N;
+    Poisoned = 0;
+  }
+  uint64_t size() const { return Size; }
+  uint64_t poisoned() const { return Poisoned; }
+  uint8_t *data() { return Data; }
+  /// Extends the poisoned prefix over [0, \p End); End <= size().
+  void reach(uint64_t End) {
+    if (End > Poisoned)
+      poisonTo(End);
+  }
+
+private:
+  /// Poison advances in whole grains, so a frame walking up the arena
+  /// costs one memset per grain rather than one per access.
+  static constexpr uint64_t PoisonGrain = 256;
+
+  void poisonTo(uint64_t End) {
+    uint64_t To = std::min(Size, (End + PoisonGrain - 1) & ~(PoisonGrain - 1));
+    std::memset(Data + Poisoned, 0xab, static_cast<size_t>(To - Poisoned));
+    Poisoned = To;
+  }
+
+  // An anonymous mapping starts on a fresh page; a heap block may
+  // share pages with, or reuse, memory that is already resident.
+  static uint8_t *mapPages(uint64_t N) {
+#if defined(__unix__) || defined(__APPLE__)
+    void *P = ::mmap(nullptr, static_cast<size_t>(N), PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (P == MAP_FAILED)
+      throw std::bad_alloc();
+    return static_cast<uint8_t *>(P);
+#else
+    return new uint8_t[N];
+#endif
+  }
+  void release() {
+    if (!Data)
+      return;
+#if defined(__unix__) || defined(__APPLE__)
+    ::munmap(Data, static_cast<size_t>(Size));
+#else
+    delete[] Data;
+#endif
+    Data = nullptr;
+  }
+  void swap(PrivateArena &O) noexcept {
+    std::swap(Data, O.Data);
+    std::swap(Size, O.Size);
+    std::swap(Poisoned, O.Poisoned);
+  }
+
+  uint8_t *Data = nullptr;
+  uint64_t Size = 0;
+  uint64_t Poisoned = 0;
+};
+
 /// Zeroes lanes [From, V.NumLanes). Every slot keeps the lane
 /// invariant (lanes at index >= NumLanes are zero), so afterwards all
 /// of [From, 16) is zero. Call before NumLanes changes.
@@ -340,7 +422,7 @@ struct ThreadCtx {
   TState State = TState::Runnable;
   std::vector<Frame> Stack;
   OperandStack Operands;
-  std::vector<uint8_t> Arena;
+  PrivateArena Arena;
   uint64_t ArenaTop = 8;
   uint32_t GlobalId[3] = {0, 0, 0};
   uint32_t LocalId[3] = {0, 0, 0};
@@ -350,9 +432,10 @@ struct ThreadCtx {
   uint32_t BarrierSite = 0;
   uint32_t BarrierCount = 0;
   uint8_t PendingFence = 0;
-  /// High-water mark of arena bytes written this launch. On engine
-  /// reuse only [0, ArenaDirtyHigh) needs re-poisoning to 0xab — the
-  /// bytes above it still carry the poison from the initial fill.
+  /// High-water mark of arena bytes written this launch, never above
+  /// Arena.poisoned(). On engine reuse only [0, ArenaDirtyHigh) needs
+  /// re-poisoning to 0xab — the poisoned bytes above it were never
+  /// written.
   uint64_t ArenaDirtyHigh = 0;
   /// Engine launch id this thread's arena poison is valid for.
   uint64_t LaunchStamp = 0;
@@ -507,15 +590,16 @@ inline void convertInPlace(Value &V, const Insn &I) {
 }
 
 /// The private-arena bytes \p Ptr addresses when it is a private
-/// pointer with \p Size bytes in bounds, else null. Private accesses
-/// are never race-checked, so this one bounds check is all a scalar
-/// load or store through such a pointer needs; any other pointer takes
-/// the general resolve path, which also reports the traps.
+/// pointer with \p Size bytes inside the poisoned prefix, else null.
+/// Private accesses are never race-checked, so this one bounds check
+/// is all a scalar load or store through such a pointer needs; any
+/// other pointer takes the general resolve path, which also poisons
+/// bytes on first reach and reports the traps.
 inline uint8_t *privateBytes(ThreadCtx &T, uint64_t Ptr, uint64_t Size) {
   if (Ptr == 0 || vmptr::space(Ptr) != AddressSpace::Private)
     return nullptr;
   uint64_t Off = vmptr::offset(Ptr);
-  if (Off + Size > T.Arena.size())
+  if (Off + Size > T.Arena.poisoned())
     return nullptr;
   return T.Arena.data() + Off;
 }
@@ -628,6 +712,7 @@ uint8_t *Engine::resolve(ThreadCtx &T, uint64_t Ptr, uint64_t Size,
       TC = TrapCode::OutOfBounds;
       return nullptr;
     }
+    T.Arena.reach(Off + Size);
     if (ForWrite && Off + Size > T.ArenaDirtyHigh)
       T.ArenaDirtyHigh = Off + Size;
     return T.Arena.data() + Off;
@@ -809,14 +894,13 @@ bool Engine::runGroup(uint32_t GX, uint32_t GY, uint32_t GZ) {
         T.Stack.clear();
         T.Operands.clear();
         if (T.Arena.size() != Opts.PrivateArenaSize) {
-          T.Arena.assign(Opts.PrivateArenaSize, 0xab);
+          T.Arena.reserve(Opts.PrivateArenaSize);
           T.ArenaDirtyHigh = 0;
         } else if (T.LaunchStamp != LaunchId) {
           // Engine reuse: re-poison only what the previous launch
-          // dirtied; everything above still holds 0xab.
+          // dirtied; the poisoned bytes above it still hold 0xab.
           std::memset(T.Arena.data(), 0xab,
-                      static_cast<size_t>(std::min<uint64_t>(
-                          T.ArenaDirtyHigh, T.Arena.size())));
+                      static_cast<size_t>(T.ArenaDirtyHigh));
           T.ArenaDirtyHigh = 0;
         }
         T.LaunchStamp = LaunchId;
@@ -841,6 +925,11 @@ bool Engine::runGroup(uint32_t GX, uint32_t GY, uint32_t GZ) {
         T.PendingFence = 0;
 
         uint64_t Base = (T.ArenaTop + 7) & ~7ULL;
+        if (Base + Kernel.FrameSize > T.Arena.size()) {
+          trap(T, TrapCode::StackOverflow);
+          return false;
+        }
+        T.Arena.reach(Base + Kernel.FrameSize);
         std::memset(T.Arena.data() + Base, 0xab, Kernel.FrameSize);
         if (Base + Kernel.FrameSize > T.ArenaDirtyHigh)
           T.ArenaDirtyHigh = Base + Kernel.FrameSize;

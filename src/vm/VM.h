@@ -112,7 +112,9 @@ struct LaunchOptions {
   uint64_t SchedulerSeed = 0;
   /// Enables the data-race detector (slower).
   bool DetectRaces = false;
-  /// Private arena bytes per work-item.
+  /// Private arena bytes per work-item. Reserved untouched and
+  /// poisoned on first reach, so resident memory follows the frames a
+  /// kernel touches (docs/vm.md §4).
   uint64_t PrivateArenaSize = 1 << 16;
   unsigned MaxCallDepth = 64;
 };

@@ -144,7 +144,47 @@ TEST(OutcomeCacheTest, HashDescriptorIsTheFnv64OfCanonicalBytes) {
   auto Salted = memCache((64u << 20), /*Salt=*/0xfeed);
   EXPECT_EQ(Unsalted->keyOf(Job).Hash, hashDescriptor(Job));
   EXPECT_NE(Salted->keyOf(Job).Hash, Unsalted->keyOf(Job).Hash);
-  EXPECT_EQ(Salted->keyOf(Job).Bytes, Bytes);
+  EXPECT_EQ(Salted->keyOf(Job).bytes(), Bytes);
+}
+
+TEST(OutcomeCacheTest, ColumnKeysEqualPerCellKeys) {
+  // keysOf serializes and hashes a column's test segment once and
+  // continues the FNV state over each cell's own bytes. Every key must
+  // still be its cell's own: the same hash (hashDescriptor when
+  // unsalted), the same descriptor bytes. A column's keys share one
+  // copy of the test bytes; a test that reappears after another
+  // column starts a column of its own.
+  TestCase A = kernelFor(31), B = kernelFor(32);
+  std::vector<DeviceConfig> Zoo = smallZoo();
+  std::vector<ExecJob> Jobs = columnBatch(A, Zoo);
+  for (const ExecJob &J : columnBatch(B, Zoo))
+    Jobs.push_back(J);
+  Jobs.push_back(ExecJob::onReference(A, true, RunSettings()));
+  ASSERT_EQ(Jobs.size(), 17u);
+
+  for (uint64_t Salt : {uint64_t(0), uint64_t(0xfeed)}) {
+    auto Cache = memCache((64u << 20), Salt);
+    std::vector<OutcomeCache::Key> Keys = Cache->keysOf(Jobs);
+    ASSERT_EQ(Keys.size(), Jobs.size());
+    for (size_t I = 0; I != Jobs.size(); ++I) {
+      OutcomeCache::Key One = Cache->keyOf(Jobs[I]);
+      EXPECT_EQ(Keys[I].Hash, One.Hash) << "salt " << Salt << " job " << I;
+      EXPECT_EQ(Keys[I].bytes(), descriptorBytes(Jobs[I]))
+          << "salt " << Salt << " job " << I;
+      EXPECT_TRUE(Keys[I].sameDescriptor(One))
+          << "salt " << Salt << " job " << I;
+      if (Salt == 0)
+        EXPECT_EQ(Keys[I].Hash, hashDescriptor(Jobs[I])) << "job " << I;
+    }
+    EXPECT_EQ(Keys[0].Test, Keys[7].Test);
+    EXPECT_NE(Keys[7].Test, Keys[8].Test);
+    EXPECT_EQ(Keys[8].Test, Keys[15].Test);
+    EXPECT_NE(Keys[15].Test, Keys[16].Test);
+    EXPECT_TRUE(Keys[16].Test != Keys[0].Test &&
+                *Keys[16].Test == *Keys[0].Test);
+    EXPECT_TRUE(Keys[0].sameDescriptor(Keys[2])); // the same reference run
+    EXPECT_FALSE(Keys[0].sameDescriptor(Keys[1]));
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -201,6 +241,48 @@ TEST(OutcomeCacheTest, MemCacheEvictsLeastRecentlyUsedUnderBudget) {
   EXPECT_TRUE(Cache->lookup(Keys.back(), Out));
   EXPECT_EQ(Out.OutputHash, Settings.size() - 1);
   EXPECT_FALSE(Cache->lookup(Keys.front(), Out));
+}
+
+TEST(OutcomeCacheTest, ColumnKeysKeepHitsMissesAndEvictions) {
+  // Entries are charged their whole descriptor although a column's
+  // keys share one test segment, so a 1 MiB budget evicts what it
+  // evicted when every key held its own copy of the test. The pinned
+  // counts and the fingerprint of the surviving entries are those of
+  // per-cell keys: 24 columns of 8 cells, stored then probed oldest
+  // first.
+  auto Cache = memCache(1u << 20);
+  std::vector<DeviceConfig> Zoo = smallZoo();
+  std::vector<TestCase> Tests;
+  for (uint64_t Seed = 500; Seed != 524; ++Seed)
+    Tests.push_back(kernelFor(Seed));
+  std::vector<OutcomeCache::Key> All;
+  for (const TestCase &T : Tests) {
+    std::vector<ExecJob> Column;
+    for (const DeviceConfig &C : Zoo)
+      for (bool Opt : {false, true})
+        Column.push_back(ExecJob::onConfig(T, C, Opt, RunSettings()));
+    for (OutcomeCache::Key &K : Cache->keysOf(Column)) {
+      RunOutcome Out;
+      EXPECT_FALSE(Cache->lookup(K, Out));
+      RunOutcome O;
+      O.Status = RunStatus::Ok;
+      O.OutputHash = All.size();
+      Cache->store(K, O);
+      All.push_back(std::move(K));
+    }
+  }
+  Fnv64 Survivors;
+  for (size_t I = 0; I != All.size(); ++I) {
+    RunOutcome Out;
+    if (Cache->lookup(All[I], Out)) {
+      EXPECT_EQ(Out.OutputHash, I);
+      Survivors.addU64(I);
+    }
+  }
+  OutcomeCacheStats S = Cache->stats();
+  EXPECT_EQ(S.Hits, 91u);
+  EXPECT_EQ(S.Misses, 293u);
+  EXPECT_EQ(Survivors.value(), 11530386444764578817u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -442,6 +524,55 @@ TEST(OutcomeCacheTest, DiskEntryFromAnotherFormatVersionIsRejected) {
   makeBackend(Opts)->run({Job});
   auto Fresh = diskCache(Dir.str());
   EXPECT_TRUE(Fresh->lookup(Fresh->keyOf(Job), Out));
+}
+
+TEST(OutcomeCacheTest, DiskEntryKeepsTheFormatVersion2Layout) {
+  // A key held as a shared test segment plus the cell's bytes must
+  // write the entry a whole-descriptor key wrote: magic, version,
+  // salt, the full descriptor, the outcome and the checksum, under the
+  // salted hash's file name. The pinned fingerprint is that of the
+  // entry written with whole-descriptor keys.
+  TempDir Dir;
+  TestCase T = kernelFor(200001);
+  std::vector<DeviceConfig> Zoo = smallZoo();
+  ExecJob Job = ExecJob::onConfig(T, Zoo[1], true, RunSettings());
+  RunOutcome O;
+  O.Status = RunStatus::Ok;
+  O.OutputHash = 0x1234;
+  O.Steps = 99;
+  O.Message = "pinned";
+  O.OutputHead = {1, 2, 3};
+  uint64_t Salt = 0x5a17;
+  {
+    auto Cache = diskCache(Dir.str(), Salt);
+    Cache->store(Cache->keyOf(Job), O);
+  }
+  std::filesystem::path Entry = soleEntry(Dir);
+  ASSERT_FALSE(Entry.empty());
+  char Name[32];
+  std::snprintf(Name, sizeof(Name), "%016llx.oc",
+                static_cast<unsigned long long>(
+                    Fnv64().addU64(hashDescriptor(Job)).addU64(Salt).value()));
+  EXPECT_EQ(Entry.filename().string(), Name);
+
+  std::vector<uint8_t> File;
+  {
+    std::FILE *F = std::fopen(Entry.string().c_str(), "rb");
+    ASSERT_NE(F, nullptr);
+    int C;
+    while ((C = std::fgetc(F)) != EOF)
+      File.push_back(static_cast<uint8_t>(C));
+    std::fclose(F);
+  }
+  WireWriter W;
+  W.u32(0x434F4C43); // "CLOC"
+  W.u32(2);
+  W.u64(Salt);
+  W.bytes(descriptorBytes(Job));
+  serializeRunOutcome(W, O);
+  W.u64(fnv64(W.buffer().data(), W.buffer().size()));
+  EXPECT_EQ(File, W.buffer());
+  EXPECT_EQ(fnv64(File.data(), File.size()), 17009015262244734502u);
 }
 
 TEST(OutcomeCacheTest, CorruptedDiskEntriesFallBackToExecution) {

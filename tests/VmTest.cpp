@@ -12,6 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "device/Driver.h"
+#include "exec/ExecBackend.h"
 #include "gen/Generator.h"
 #include "minicl/IntOps.h"
 #include "minicl/Parser.h"
@@ -26,17 +28,17 @@ using namespace clfuzz;
 
 namespace {
 
-struct RunOutcome {
+struct KernelRun {
   LaunchResult LR;
   std::vector<uint64_t> Out;
 };
 
 /// Compiles and runs a kernel whose first parameter is
 /// `global ulong *out`; extra integer buffers may be appended.
-RunOutcome runKernel(const std::string &Source, NDRange Range,
-                     const CodegenOptions &CG = {},
-                     std::vector<Buffer> ExtraBuffers = {},
-                     LaunchOptions *CustomOpts = nullptr) {
+KernelRun runKernel(const std::string &Source, NDRange Range,
+                    const CodegenOptions &CG = {},
+                    std::vector<Buffer> ExtraBuffers = {},
+                    LaunchOptions *CustomOpts = nullptr) {
   ASTContext Ctx;
   DiagEngine Diags;
   EXPECT_TRUE(parseProgram(Source, Ctx, Diags)) << Diags.str();
@@ -44,7 +46,7 @@ RunOutcome runKernel(const std::string &Source, NDRange Range,
   CodegenResult CR = compileToBytecode(Ctx, CG);
   EXPECT_TRUE(CR.Ok) << CR.Error;
 
-  RunOutcome R;
+  KernelRun R;
   if (!CR.Ok)
     return R;
 
@@ -598,6 +600,143 @@ TEST(VmTest, MultiGroupIsolation) {
   ASSERT_TRUE(R.LR.ok()) << R.LR.Message;
   for (uint32_t I = 0; I != 12; ++I)
     EXPECT_EQ(R.Out[I], I / 4);
+}
+
+//===----------------------------------------------------------------------===//
+// The private arena: poisoned on first reach, bounded like before
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A compiled kernel together with the AST context its bytecode's
+/// types live in.
+struct CompiledKernel {
+  std::unique_ptr<ASTContext> Ctx = std::make_unique<ASTContext>();
+  CompiledModule Module;
+};
+
+CompiledKernel compileKernel(const std::string &Source) {
+  CompiledKernel K;
+  DiagEngine Diags;
+  EXPECT_TRUE(parseProgram(Source, *K.Ctx, Diags)) << Diags.str();
+  EXPECT_TRUE(checkProgram(*K.Ctx, Diags)) << Diags.str();
+  CodegenResult CR = compileToBytecode(*K.Ctx);
+  EXPECT_TRUE(CR.Ok) << CR.Error;
+  K.Module = std::move(CR.Module);
+  return K;
+}
+
+/// Launches \p K (one `global ulong *out` parameter, \p Words words
+/// per work-item) on \p Vm, returning the result and the out words.
+KernelRun launchOn(VmInstance &Vm, const CompiledKernel &K, NDRange Range,
+                   unsigned Words) {
+  std::vector<Buffer> Buffers(1);
+  Buffers[0].Bytes.assign(Range.globalLinear() * Words * 8, 0);
+  LaunchOptions Opts;
+  Opts.Range = Range;
+  KernelRun R;
+  R.LR = Vm.launch(K.Module, Buffers, {KernelArg::buffer(0)}, Opts);
+  for (uint64_t I = 0; I != Range.globalLinear() * Words; ++I)
+    R.Out.push_back(Buffers[0].readScalar(I * 8, 8));
+  return R;
+}
+
+/// Reads two private words above its frame — one 256 bytes up, one
+/// 16 KB up — then writes both. The reads are uint loads into uint
+/// locals, so they take the scalar fast path (privateBytes).
+const char *AboveFrameKernel =
+    "kernel void k(global ulong *out) {\n"
+    "  uint x = 1u;\n"
+    "  uint *p = &x;\n"
+    "  uint near = p[64];\n"
+    "  uint far = p[4000];\n"
+    "  out[2u * get_global_id(0)] = near;\n"
+    "  out[2u * get_global_id(0) + 1u] = far;\n"
+    "  p[64] = 7u;\n"
+    "  p[4000] = 9u;\n"
+    "}\n";
+
+} // namespace
+
+TEST(VmTest, PrivateBytesAboveAFrameReadPoisonFreshAndAfterReuse) {
+  CompiledKernel K = compileKernel(AboveFrameKernel);
+  VmInstance Vm;
+  // The second launch runs behind one that wrote both words.
+  for (int Launch = 0; Launch != 2; ++Launch) {
+    KernelRun R = launchOn(Vm, K, groupOf(4), 2);
+    ASSERT_TRUE(R.LR.ok()) << R.LR.Message;
+    for (uint64_t W : R.Out)
+      EXPECT_EQ(W, 0xababababu) << "launch " << Launch;
+  }
+}
+
+TEST(VmTest, WideThenNarrowLaunchOnOneInstanceMatchesFreshEngines) {
+  CompiledKernel K = compileKernel(AboveFrameKernel);
+  VmInstance Reused;
+  for (uint32_t N : {256u, 1u}) {
+    KernelRun OnReused = launchOn(Reused, K, groupOf(N), 2);
+    VmInstance Fresh;
+    KernelRun OnFresh = launchOn(Fresh, K, groupOf(N), 2);
+    ASSERT_TRUE(OnReused.LR.ok()) << OnReused.LR.Message;
+    EXPECT_EQ(OnReused.LR.Status, OnFresh.LR.Status) << N;
+    EXPECT_EQ(OnReused.LR.StepsExecuted, OnFresh.LR.StepsExecuted) << N;
+    EXPECT_EQ(OnReused.Out, OnFresh.Out) << N;
+  }
+}
+
+TEST(VmTest, OutOfArenaAccessesTrapAtTheSameStep) {
+  // The step counts are those of the eagerly poisoned arena: poisoning
+  // on first reach must not move where an access past the arena's
+  // 64 KiB traps, on a load or on a store.
+  struct Case {
+    const char *Access;
+    const char *Message;
+    uint64_t Steps;
+  };
+  for (const Case &C :
+       {Case{"out[1] = p[20000];", "thread 0: out-of-bounds access (load)",
+             27},
+        Case{"p[20000] = 3u;", "thread 0: out-of-bounds access (store)",
+             24}}) {
+    CompiledKernel K =
+        compileKernel(std::string("kernel void k(global ulong *out) {\n"
+                                  "  uint x = 1u;\n"
+                                  "  uint *p = &x;\n"
+                                  "  out[0] = p[8];\n  ") +
+                      C.Access + "\n}\n");
+    VmInstance Vm;
+    KernelRun R = launchOn(Vm, K, single(), 2);
+    EXPECT_EQ(R.LR.Status, LaunchStatus::Trap) << C.Access;
+    EXPECT_EQ(R.LR.Message, C.Message) << C.Access;
+    EXPECT_EQ(R.LR.StepsExecuted, C.Steps) << C.Access;
+  }
+}
+
+TEST(VmTest, EntryFrameLargerThanTheArenaTrapsOnEveryBackend) {
+  // An 80 KB kernel frame cannot fit a 64 KiB private arena: the launch
+  // traps as a Call whose frame does not fit does, never writes past
+  // the arena, and every backend reports the same Crash.
+  TestCase T;
+  T.Name = "oversized frame";
+  T.Source = "kernel void k(global ulong *out) {\n"
+             "  int big[20000];\n"
+             "  big[19999] = 1;\n"
+             "  out[0] = big[19999];\n"
+             "}\n";
+  BufferSpec Out;
+  Out.InitBytes.assign(8, 0);
+  Out.IsOutput = true;
+  T.Buffers.push_back(Out);
+  std::vector<ExecJob> Jobs = {ExecJob::onReference(T, false, RunSettings())};
+  for (BackendKind Kind :
+       {BackendKind::Inline, BackendKind::Threads, BackendKind::Procs}) {
+    std::vector<RunOutcome> Got =
+        makeBackend(ExecOptions::withBackend(Kind, 2))->run(Jobs);
+    ASSERT_EQ(Got.size(), 1u);
+    EXPECT_EQ(Got[0].Status, RunStatus::Crash) << backendKindName(Kind);
+    EXPECT_EQ(Got[0].Message, "thread 0: private memory exhausted")
+        << backendKindName(Kind);
+  }
 }
 
 //===----------------------------------------------------------------------===//
